@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from apsemigroups import (
@@ -14,11 +16,48 @@ from apsemigroups import (
     generating_set,
     hilbert_numerator,
     hilbert_truncation_check,
+    member_certificate,
     resolution,
     VerifyOptions,
 )
+from apsemigroups import verify
 from apsemigroups.verify import poly_matrix_det, _named_minors
 from conftest import random_family
+
+
+def naive_series(form, box):
+    """The nonzero coefficients by cell-by-cell geometric-series passes."""
+    nx, ny = box.cap_x, box.cap_y
+    grid = [[0] * (ny + 1) for _ in range(nx + 1)]
+    for c, deg in form.numerator:
+        if 0 <= deg.x <= nx and 0 <= deg.y <= ny:
+            grid[deg.x][deg.y] += c
+    for g in form.denominator_factors:
+        for x in range(nx + 1):
+            for y in range(ny + 1):
+                px, py = x - g.x, y - g.y
+                if px >= 0 and py >= 0:
+                    grid[x][y] += grid[px][py]
+    return {
+        Vec2(x, y): grid[x][y]
+        for x in range(nx + 1)
+        for y in range(ny + 1)
+        if grid[x][y]
+    }
+
+
+# (family, box): generators on the y-axis and on the x-axis, generators past
+# the box edge in x and in y, and boxes far from square.
+EDGE_CASES = [
+    ((Vec2(0, 2), Vec2(1, 1), 3), EnumerationBox(12, 20)),
+    ((Vec2(0, 3), Vec2(2, 1), 4), EnumerationBox(25, 9)),
+    ((Vec2(2, 0), Vec2(1, 1), 3), EnumerationBox(20, 12)),
+    ((Vec2(2, 0), Vec2(1, 2), 4), EnumerationBox(9, 25)),
+    ((Vec2(2, 1), Vec2(1, 3), 3), EnumerationBox(4, 30)),
+    ((Vec2(2, 1), Vec2(1, 3), 3), EnumerationBox(30, 6)),
+    ((Vec2(5, 4), Vec2(4, 9), 3), EnumerationBox(1, 40)),
+    ((Vec2(5, 4), Vec2(4, 9), 3), EnumerationBox(40, 1)),
+]
 
 
 class TestEnumeration:
@@ -56,6 +95,71 @@ class TestEnumeration:
             for y in range(16):
                 v = Vec2(x, y)
                 assert (v in points) == (is_member(f, v) is not None)
+
+
+class TestRowOracles:
+    @pytest.mark.parametrize("params,box", EDGE_CASES)
+    def test_enumeration_matches_membership(self, params, box):
+        f = build_family(*params)
+        points = enumerate_semigroup(f, box)
+        assert points == sorted(points)
+        members = set(points)
+        for x in range(box.cap_x + 1):
+            for y in range(box.cap_y + 1):
+                v = Vec2(x, y)
+                found = member_certificate(f.all_generators, v) is not None
+                assert (v in members) == found, v
+
+    @pytest.mark.parametrize("params,box", EDGE_CASES)
+    def test_series_matches_naive_expansion(self, params, box):
+        f = build_family(*params)
+        form = hilbert_numerator(f)
+        series = expand_series(form, box)
+        expected = naive_series(form, box)
+        assert series.coefficients == expected
+        for x in range(-1, box.cap_x + 2):
+            for y in range(-1, box.cap_y + 2):
+                v = Vec2(x, y)
+                assert series.coefficient(v) == expected.get(v, 0)
+
+    @pytest.mark.parametrize("params,box", EDGE_CASES)
+    def test_truncation_passes(self, params, box):
+        f = build_family(*params)
+        assert hilbert_truncation_check(f, hilbert_numerator(f), box).passed
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (Vec2(0, 3),),
+            (Vec2(2, 0),),
+            (Vec2(0, 1), Vec2(0, 2)),
+            (Vec2(3, 0), Vec2(0, 4), Vec2(2, 5)),
+            (Vec2(11, 1), Vec2(1, 13), Vec2(30, 30)),
+        ],
+    )
+    def test_single_axis_and_outside_factors(self, factors):
+        form = HilbertSeriesForm(
+            numerator=((1, Vec2(0, 0)), (-2, Vec2(1, 2)), (3, Vec2(4, 1))),
+            denominator_factors=factors,
+        )
+        box = EnumerationBox(10, 12)
+        assert expand_series(form, box).coefficients == naive_series(form, box)
+
+    def test_zero_factor_rejected(self):
+        form = HilbertSeriesForm(
+            numerator=((1, Vec2(0, 0)),), denominator_factors=(Vec2(0, 0),)
+        )
+        with pytest.raises(ValueError):
+            expand_series(form, EnumerationBox(3, 3))
+
+    def test_dropped_numerator_term_witness(self, example_one):
+        form = hilbert_numerator(example_one)
+        broken = HilbertSeriesForm(
+            numerator=form.numerator[:-1],
+            denominator_factors=form.denominator_factors,
+        )
+        result = hilbert_truncation_check(example_one, broken, EnumerationBox(60, 90))
+        assert result.witness == "coefficient at (35,57) is 0, expected 1"
 
 
 class TestSeriesExpansion:
@@ -212,6 +316,21 @@ class TestFullReport:
         assert "ideal_equals_toric_kernel" not in names
         assert "hilbert_truncation" not in names
         assert report.ok
+
+    def test_check_timer_covers_its_computation(self, example_one, monkeypatch):
+        oracle = verify.is_groebner_basis
+
+        def slow_oracle(*args, **kwargs):
+            time.sleep(0.05)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "is_groebner_basis", slow_oracle)
+        report = full_report(
+            example_one, VerifyOptions(include_toric=False, include_truncation=False)
+        )
+        (check,) = [c for c in report.checks if c.name == "generating_set_is_groebner"]
+        assert check.passed
+        assert check.elapsed >= 0.05
 
     def test_random_extended_families(self, rng):
         from conftest import random_extended_family
