@@ -36,9 +36,13 @@ from .semigroup import (
     cm_type,
     quasi_frobenius,
 )
-from .verify import EnumerationBox, Report, VerifyOptions, full_report
+from .verify import EnumerationBox, Report, VerifyOptions, default_box, full_report
 
 _BIG = 2**53
+_RECONCILIATION = (
+    "closed form and brute-force enumeration disagree; the brute-force "
+    "set follows the definition"
+)
 
 
 def _jint(v: int):
@@ -81,10 +85,7 @@ def _apery_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
         "bruteforce": [_jvec(v) for v in brute.sorted_elements()],
     }
     if closed.elements != brute.elements:
-        out["reconciliation"] = (
-            "closed form and brute-force enumeration disagree; the brute-force "
-            "set follows the definition"
-        )
+        out["reconciliation"] = _RECONCILIATION
     return out
 
 
@@ -133,10 +134,7 @@ def _extension_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
         "qf": [_jvec(v) for v in sorted(quasi_frobenius(f))],
     }
     if closed.elements != brute.elements:
-        out["reconciliation"] = (
-            "closed form and brute-force enumeration disagree; the brute-force "
-            "set follows the definition"
-        )
+        out["reconciliation"] = _RECONCILIATION
     try:
         out["betti"] = list(extended_betti(f.k))
     except UnsupportedK:
@@ -251,17 +249,21 @@ def _build(args) -> SemigroupFamily:
 def _box(args, f) -> Optional[EnumerationBox]:
     if args.box_x is None and args.box_y is None:
         return None
-    from .verify import default_box
-
     base = default_box(f)
-    return EnumerationBox(args.box_x or base.cap_x, args.box_y or base.cap_y)
+    return EnumerationBox(
+        base.cap_x if args.box_x is None else args.box_x,
+        base.cap_y if args.box_y is None else args.box_y,
+    )
 
 
-def _report_doc(f, args, *, include_toric: bool, include_truncation: bool) -> tuple[dict, Report]:
+def _report_doc(f, args) -> tuple[dict, Report]:
+    """The report subcommands' document; only `verify` runs the toric and
+    truncation oracles."""
+    full = args.command == "verify"
     opts = VerifyOptions(
         box=_box(args, f),
-        include_toric=include_toric and not args.skip_toric,
-        include_truncation=include_truncation,
+        include_toric=full and not args.skip_toric,
+        include_truncation=full,
         apery_cap=args.apery_cap,
     )
     report = full_report(f, opts)
@@ -281,6 +283,15 @@ def _report_doc(f, args, *, include_toric: bool, include_truncation: bool) -> tu
         doc["extension"] = _extension_section(f, args.apery_cap)
     doc["checks"] = _checks_section(report)
     return doc, report
+
+
+# Subcommands that print closed-form sections and run no checks.
+_SECTIONS = {
+    "ideal": lambda f: {"ideal": _ideal_section(f, False)},
+    "groebner": lambda f: {"ideal": _ideal_section(f, True)},
+    "hilbert": lambda f: {"hilbert": _hilbert_section(f)},
+    "resolution": lambda f: {"resolution": _resolution_section(f)},
+}
 
 
 def main(argv=None) -> int:
@@ -304,31 +315,13 @@ def main(argv=None) -> int:
         _add_family_args(p, with_b="required" if name == "extend" else "optional")
 
     args = parser.parse_args(argv)
+    report = None
     try:
         f = _build(args)
-        if args.command in ("analyze", "extend"):
-            doc, report = _report_doc(
-                f, args, include_toric=False, include_truncation=False
-            )
-        elif args.command == "verify":
-            doc, report = _report_doc(
-                f, args, include_toric=True, include_truncation=True
-            )
-        elif args.command == "ideal":
-            doc = {"family": _family_section(f), "ideal": _ideal_section(f, False)}
-            report = None
-        elif args.command == "groebner":
-            doc = {"family": _family_section(f), "ideal": _ideal_section(f, True)}
-            report = None
-        elif args.command == "hilbert":
-            doc = {"family": _family_section(f), "hilbert": _hilbert_section(f)}
-            report = None
-        else:  # resolution
-            doc = {
-                "family": _family_section(f),
-                "resolution": _resolution_section(f),
-            }
-            report = None
+        if args.command in _SECTIONS:
+            doc = {"family": _family_section(f), **_SECTIONS[args.command](f)}
+        else:
+            doc, report = _report_doc(f, args)
     except (FamilyError, UnsupportedK, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

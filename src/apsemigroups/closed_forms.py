@@ -7,7 +7,7 @@ and the one-extra-generator gluing data for extended families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import BadIndex, NotHomogeneous, UnsupportedK
 from .lattice import Vec2
@@ -20,7 +20,13 @@ from .polynomials import (
     mono_degree,
     s_degree,
 )
-from .semigroup import AperySet, SemigroupFamily, extremal_rays
+from .semigroup import (
+    AperySet,
+    SemigroupFamily,
+    _closed_form_apery_elements,
+    apery_closed_form,
+    extremal_rays,
+)
 
 # ---------------------------------------------------------------------------
 # the binomial generating set
@@ -150,14 +156,16 @@ def _aggregate(degrees: tuple[Vec2, ...]) -> tuple[tuple[int, Vec2], ...]:
 
 def _column_degrees(
     matrix: tuple[tuple[Polynomial, ...], ...],
-    row_degrees: tuple[Vec2, ...],
-    grading: GradingMap,
-) -> tuple[Vec2, ...]:
+    row_degrees: tuple,
+    degree: Callable[[Polynomial], object],
+) -> tuple:
+    """Degree of each column's generator: degree(entry) plus its row's
+    degree, which must agree over the column's nonzero entries."""
     ncols = len(matrix[0])
     out = []
     for j in range(ncols):
         degs = {
-            s_degree(matrix[i][j], grading) + row_degrees[i]
+            degree(matrix[i][j]) + row_degrees[i]
             for i in range(len(matrix))
             if not matrix[i][j].is_zero()
         }
@@ -236,7 +244,7 @@ def resolution(f: SemigroupFamily) -> GradedResolution:
     col_degs = []
     row_degrees: tuple[Vec2, ...] = (Vec2(0, 0),)
     for matrix in maps:
-        degs = _column_degrees(matrix, row_degrees, grading)
+        degs = _column_degrees(matrix, row_degrees, lambda p: s_degree(p, grading))
         col_degs.append(degs)
         row_degrees = degs
     betti = (1,) + tuple(len(d) for d in col_degs)
@@ -267,46 +275,23 @@ class HilbertSeriesForm:
         return {deg: c for c, deg in self.numerator}
 
 
-def _base_numerator(f: SemigroupFamily) -> dict[Vec2, int]:
-    a, d, k = f.a, f.d, f.k
-    num: dict[Vec2, int] = {Vec2(0, 0): 1}
-    if k == 2:
-        num[2 * a + 2 * d] = -1
-    elif k == 3:
-        for i in range(2, 5):
-            num[2 * a + i * d] = -1
-        for i in range(4, 6):
-            num[3 * a + i * d] = 1
-    elif k == 4:
-        for i in range(2, 7):
-            num[2 * a + i * d] = num.get(2 * a + i * d, 0) - 1
-        num[2 * a + 4 * d] -= 1
-        for i in range(4, 9):
-            num[3 * a + i * d] = num.get(3 * a + i * d, 0) + 1
-        for i in range(5, 8):
-            num[3 * a + i * d] += 1
-        for i in range(7, 10):
-            num[4 * a + i * d] = -1
-    else:
-        raise UnsupportedK(f"no closed-form numerator for k = {f.k}")
-    return num
-
-
 def hilbert_numerator(f: SemigroupFamily) -> HilbertSeriesForm:
     """Closed-form Hilbert numerator for k = 2, 3, 4.
 
-    For extended families the base numerator is multiplied by (1 - t^(mu*b)),
-    matching the one-step mapping cone, and the denominator gains (1 - t^b).
+    k[S] is Cohen-Macaulay, so its Hilbert series is the sum of t^w over
+    Ap(S, E) divided by the two extremal-ray factors. Over the full
+    denominator the numerator is that sum times (1 - t^g) for every other
+    generator g. For extended families b is one of them, and the Apery set
+    is Ap(S_base, E) + {0, b, ..., (mu-1)b}, so the numerator is the base
+    one times (1 - t^(mu*b)), matching the one-step mapping cone.
     """
-    num = _base_numerator(f)
-    if f.is_extended:
-        glue = f.extension_mu * f.extension
-        shifted: dict[Vec2, int] = dict(num)
-        for deg, c in num.items():
-            target = deg + glue
-            shifted[target] = shifted.get(target, 0) - c
-        num = {deg: c for deg, c in shifted.items() if c}
-    terms = tuple((c, deg) for deg, c in sorted(num.items(), key=lambda t: t[0]))
+    if f.k not in (2, 3, 4):
+        raise UnsupportedK(f"no closed-form numerator for k = {f.k}")
+    num = dict.fromkeys(_closed_form_apery_elements(f), 1)
+    for g in f.generators[1:-1] + ((f.extension,) if f.is_extended else ()):
+        for deg, c in list(num.items()):
+            num[deg + g] = num.get(deg + g, 0) - c
+    terms = tuple((c, deg) for deg, c in sorted(num.items(), key=lambda t: t[0]) if c)
     return HilbertSeriesForm(numerator=terms, denominator_factors=f.all_generators)
 
 
@@ -322,8 +307,6 @@ def regularity(f: SemigroupFamily) -> int:
     for g in generating_set(f.k).G:
         if len({mono_degree(m) for m in g.terms}) != 1:
             raise NotHomogeneous(f"{g} is not standard-graded homogeneous")
-    from .semigroup import apery_closed_form
-
     norms = []
     for e in apery_closed_form(f).elements:
         if e.is_zero():
@@ -339,23 +322,11 @@ def regularity(f: SemigroupFamily) -> int:
 def regularity_from_resolution(f: SemigroupFamily) -> int:
     """max over i of (largest standard degree of the i-th syzygies of the
     ideal minus i), read off the stored resolution (k = 2, 3, 4)."""
-    res = resolution(f)
-    std_degrees: list[int] = [0]
+    degrees: tuple[int, ...] = (0,)
     reg = 0
-    for idx, matrix in enumerate(res.maps):
-        ncols = len(matrix[0])
-        col_std = []
-        for j in range(ncols):
-            degs = {
-                matrix[i][j].total_degree() + std_degrees[i]
-                for i in range(len(matrix))
-                if not matrix[i][j].is_zero()
-            }
-            if len(degs) != 1:
-                raise NotHomogeneous(f"map {idx + 1} column {j + 1} mixes degrees")
-            col_std.append(next(iter(degs)))
-        reg = max(reg, max(col_std) - idx)
-        std_degrees = col_std
+    for idx, matrix in enumerate(resolution(f).maps):
+        degrees = _column_degrees(matrix, degrees, Polynomial.total_degree)
+        reg = max(reg, max(degrees) - idx)
     return reg
 
 
@@ -392,11 +363,7 @@ def apery_extended(f: SemigroupFamily) -> AperySet:
     multiples of b below mu, and every (a+id) + ell*b."""
     if not f.is_extended:
         raise ValueError("family has no extension")
-    a, d, k, b, mu = f.a, f.d, f.k, f.extension, f.extension_mu
-    elements = {Vec2(0, 0)}
-    elements |= {ell * b for ell in range(1, mu)}
-    elements |= {(a + i * d) + ell * b for i in range(1, k) for ell in range(mu)}
-    return AperySet(base=extremal_rays(f), elements=frozenset(elements))
+    return AperySet(base=extremal_rays(f), elements=_closed_form_apery_elements(f))
 
 
 def qf_extended(f: SemigroupFamily) -> frozenset[Vec2]:

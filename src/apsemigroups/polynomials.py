@@ -347,7 +347,6 @@ def s_polynomial(
 class GroebnerBasis:
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
-    reduced: bool = True
 
     @property
     def ring(self) -> PolynomialRing:

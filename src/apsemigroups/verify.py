@@ -17,6 +17,8 @@ from typing import Optional
 from .closed_forms import (
     GradedResolution,
     HilbertSeriesForm,
+    _aggregate,
+    _column_degrees,
     apery_extended,
     extended_betti,
     extended_generating_set,
@@ -41,6 +43,7 @@ from .polynomials import (
     is_quadratic,
     leading_term,
     monic,
+    s_degree,
     standard_monomials,
     toric_kernel,
     vanishes_under_degree_map,
@@ -349,11 +352,9 @@ def complex_check(res: GradedResolution) -> CheckResult:
 
     # Recompute the column degrees independently and compare with the stored
     # shift lists.
-    from .closed_forms import _aggregate, _column_degrees
-
     row_degrees: tuple[Vec2, ...] = (Vec2(0, 0),)
     for idx, matrix in enumerate(res.maps):
-        degs = _column_degrees(matrix, row_degrees, res.grading)
+        degs = _column_degrees(matrix, row_degrees, lambda p: s_degree(p, res.grading))
         if degs != res.column_degrees[idx]:
             return fail(f"map {idx + 1} column degrees disagree with stored shifts")
         if _aggregate(degs) != res.shifts[idx + 1]:

@@ -159,6 +159,17 @@ class TestOtherCommands:
         assert code == 0
         assert all(c["passed"] for c in doc["checks"])
 
+    @pytest.mark.parametrize("box", [("0", "40"), ("40", "0"), ("-3", "40")])
+    def test_nonpositive_box_cap_exit_2(self, capsys, box):
+        code, out, err = run(
+            capsys,
+            ["verify", "--a", "5,4", "--d", "4,9", "--k", "3", "--skip-toric",
+             "--box-x", box[0], "--box-y", box[1]],
+        )
+        assert code == 2
+        assert out == ""
+        assert "box caps must be positive" in err
+
     def test_mu_bound_too_small_exit_2(self, capsys):
         code, _, err = run(
             capsys,

@@ -2,6 +2,8 @@ import pytest
 
 from apsemigroups import (
     BadIndex,
+    NotHomogeneous,
+    Polynomial,
     UnsupportedK,
     Vec2,
     apery_extended,
@@ -24,7 +26,38 @@ from apsemigroups import (
     vanishes_under_degree_map,
     xi_family,
 )
-from conftest import random_family
+from apsemigroups.closed_forms import _column_degrees
+from conftest import random_extended_family, random_family
+
+# The base numerators as the paper prints them, for k = 2, 3, 4: an entry
+# (sign, j, steps) stands for sign * (sum over i in steps of t^(j*a + i*d)).
+PAPER_NUMERATORS = {
+    2: [(1, 0, [0]), (-1, 2, [2])],
+    3: [(1, 0, [0]), (-1, 2, range(2, 5)), (1, 3, range(4, 6))],
+    4: [
+        (1, 0, [0]),
+        (-1, 2, range(2, 7)),
+        (-1, 2, [4]),
+        (1, 3, range(4, 9)),
+        (1, 3, range(5, 8)),
+        (-1, 4, range(7, 10)),
+    ],
+}
+
+
+def paper_numerator(f):
+    """The paper's numerator of the family, times (1 - t^(mu*b)) when it is
+    glued (the one-step mapping cone)."""
+    num = {}
+    for sign, j, steps in PAPER_NUMERATORS[f.k]:
+        for i in steps:
+            deg = j * f.a + i * f.d
+            num[deg] = num.get(deg, 0) + sign
+    if f.is_extended:
+        glue = f.extension_mu * f.extension
+        for deg, c in list(num.items()):
+            num[deg + glue] = num.get(deg + glue, 0) - c
+    return {deg: c for deg, c in num.items() if c}
 
 
 def pair_mono(ring, i, j):
@@ -279,6 +312,39 @@ class TestHilbertNumerator:
         f = build_family(Vec2(2, 1), Vec2(1, 2), 6)
         with pytest.raises(UnsupportedK):
             hilbert_numerator(f)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_paper_numerator(self, rng, k):
+        for max_coord in (3, 6, 20):
+            f = random_family(rng, k, max_coord)
+            form = hilbert_numerator(f)
+            expected = paper_numerator(f)
+            assert form.numerator_dict() == expected
+            assert [deg for _, deg in form.numerator] == sorted(expected)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_glued_matches_paper_numerator(self, rng, k):
+        for _ in range(3):
+            f = random_extended_family(rng, k)
+            form = hilbert_numerator(f)
+            expected = paper_numerator(f)
+            assert form.numerator_dict() == expected
+            assert [deg for _, deg in form.numerator] == sorted(expected)
+            assert form.denominator_factors == f.all_generators
+
+
+class TestColumnDegrees:
+    def test_mixed_column_raises_under_both_gradings(self, example_one):
+        ring = progression_ring(3)
+        x1, x2, x3 = ring.var(0), ring.var(1), ring.var(2)
+        matrix = ((x1,), (x2 * x3,))
+        grading = family_grading(example_one)
+        with pytest.raises(NotHomogeneous):
+            _column_degrees(
+                matrix, (Vec2(0, 0), Vec2(0, 0)), lambda p: s_degree(p, grading)
+            )
+        with pytest.raises(NotHomogeneous):
+            _column_degrees(matrix, (0, 0), Polynomial.total_degree)
 
 
 class TestRegularity:
