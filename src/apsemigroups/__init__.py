@@ -29,6 +29,7 @@ from .closed_forms import (
 from .errors import (
     BadExtension,
     BadIndex,
+    BoxTooLarge,
     CapTooSmall,
     DependentDirections,
     FamilyError,

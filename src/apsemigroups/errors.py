@@ -38,6 +38,10 @@ class UnsupportedK(ValueError):
     """No closed-form resolution is stored for this k."""
 
 
+class BoxTooLarge(ValueError):
+    """The truncation box has more cells than the dense oracles may allocate."""
+
+
 class InfiniteDimension(ValueError):
     """The quotient by the leading-term ideal is not finite dimensional."""
 

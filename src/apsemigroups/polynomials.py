@@ -6,13 +6,19 @@ is exact. The engine provides the three monomial orders the package needs
 (graded reverse lexicographic, lexicographic, block elimination), division
 with deterministic reducer selection, Buchberger's completion with the
 coprime-pair skip, and elimination-based toric kernels.
+
+Each order compiles its key function once, when it is built, from
+`operator.itemgetter` over its precedence. Buchberger's pairs carry the lcm
+of their leading monomials from the moment they are created, so selecting
+the next pair only computes its key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from operator import add, ge, itemgetter, le, neg, sub
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InfiniteDimension, NotHomogeneous
 from .lattice import Vec2
@@ -29,22 +35,21 @@ _F1 = Fraction(1)
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def mono_divides(m1: Mono, m2: Mono) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def mono_div(m1: Mono, m2: Mono) -> Mono:
-    quotient = tuple(a - b for a, b in zip(m1, m2))
-    if any(e < 0 for e in quotient):
+    if not all(map(ge, m1, m2)):
         raise ArithmeticError(f"{m2} does not divide {m1}")
-    return quotient
+    return tuple(map(sub, m1, m2))
 
 
 def mono_lcm(m1: Mono, m2: Mono) -> Mono:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def mono_degree(m: Mono) -> int:
@@ -232,6 +237,29 @@ class Polynomial:
 # monomial orders
 
 
+def _picker(idxs: tuple[int, ...]) -> Callable[[Mono], tuple[int, ...]]:
+    """m -> tuple(m[i] for i in idxs); itemgetter alone returns a bare entry
+    for one index and cannot be built for none."""
+    if not idxs:
+        return lambda m: ()
+    if len(idxs) == 1:
+        (i,) = idxs
+        return lambda m: (m[i],)
+    return itemgetter(*idxs)
+
+
+def _compile_grevlex(idxs: tuple[int, ...]) -> Callable[[Mono], tuple]:
+    """Total degree over idxs, then the negated exponents from the last
+    index to the first."""
+    pick = _picker(idxs[::-1])
+
+    def key(m: Mono) -> tuple:
+        exps = pick(m)
+        return (sum(exps), tuple(map(neg, exps)))
+
+    return key
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total, multiplicative well-order on monomials.
@@ -242,25 +270,35 @@ class MonomialOrder:
     kind "lex": lexicographic on the precedence.
     kind "elim": the first `block` precedence variables dominate; both blocks
     are compared by grevlex, so it eliminates the leading block.
+
+    The key function is compiled once, when the order is built; an unknown
+    kind raises ValueError then.
     """
 
     kind: str
     precedence: tuple[int, ...]
     block: int = 0
+    _compiled: Callable[[Mono], tuple] = field(init=False, repr=False, compare=False)
 
-    def _grevlex_key(self, m: Mono, idxs: tuple[int, ...]):
-        return (sum(m[i] for i in idxs), tuple(-m[i] for i in reversed(idxs)))
+    def __post_init__(self):
+        prec = self.precedence
+        if self.kind == "grevlex":
+            compiled = _compile_grevlex(prec)
+        elif self.kind == "lex":
+            compiled = _picker(prec)
+        elif self.kind == "elim":
+            head = _compile_grevlex(prec[: self.block])
+            tail = _compile_grevlex(prec[self.block :])
+
+            def compiled(m: Mono) -> tuple:
+                return (head(m), tail(m))
+
+        else:
+            raise ValueError(f"unknown order kind {self.kind!r}")
+        object.__setattr__(self, "_compiled", compiled)
 
     def key(self, m: Mono):
-        if self.kind == "grevlex":
-            return self._grevlex_key(m, self.precedence)
-        if self.kind == "lex":
-            return tuple(m[i] for i in self.precedence)
-        if self.kind == "elim":
-            head = self.precedence[: self.block]
-            tail = self.precedence[self.block :]
-            return (self._grevlex_key(m, head), self._grevlex_key(m, tail))
-        raise ValueError(f"unknown order kind {self.kind!r}")
+        return self._compiled(m)
 
 
 def grevlex(n: int, precedence: Optional[Sequence[int]] = None) -> MonomialOrder:
@@ -396,10 +434,15 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasi
     """
     G = [monic(g, order) for g in gens if not g.is_zero()]
     lms = [leading_monomial(g, order) for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    # pair -> lcm of its leading monomials, computed once when it is made
+    pairs = {
+        (i, j): mono_lcm(lms[i], lms[j])
+        for i in range(len(G))
+        for j in range(i + 1, len(G))
+    }
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(mono_lcm(lms[p[0]], lms[p[1]])), p))
-        pairs.remove((i, j))
+        i, j = min(pairs, key=lambda p: (order.key(pairs[p]), p))
+        del pairs[i, j]
         if mono_coprime(lms[i], lms[j]):
             continue
         r = reduce(s_polynomial(G[i], G[j], order), G, order)
@@ -408,7 +451,7 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasi
         G.append(monic(r, order))
         lms.append(leading_monomial(r, order))
         new = len(G) - 1
-        pairs.update((t, new) for t in range(new))
+        pairs.update(((t, new), mono_lcm(lms[t], lms[new])) for t in range(new))
     return GroebnerBasis(order, tuple(_interreduce(G, order)))
 
 

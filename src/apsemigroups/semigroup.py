@@ -3,6 +3,9 @@ extensions of them.
 
 Membership is decided by an exact depth-first search memoized on the residual
 vector; it terminates because every generator has positive coordinate sum.
+A memo entry depends only on the residual and the generator tuple, so callers
+that test many targets over one tuple share one memo dict across those calls
+(never across tuples, and never module-wide).
 Apery sets come in two independent flavours, a closed form and a brute-force
 enumeration straight from the definition, so each can check the other.
 """
@@ -82,12 +85,20 @@ class Witnessed:
 
 
 def member_certificate(
-    generators: Iterable[Vec2], target: Vec2
+    generators: Iterable[Vec2],
+    target: Vec2,
+    memo: Optional[dict[Vec2, int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Nonnegative coefficients c with sum(c_i * g_i) == target, or None.
 
     Exact and total: a None answer means the finite residual search space was
     exhausted.
+
+    `memo` maps a residual u to the first generator index i for which
+    u - g_i is zero or a member, or to -1 when u is not a member. That depends
+    only on u and the generators, so a caller may pass one dict to every call
+    over the same generator tuple, in any order, and get the certificate a
+    fresh search gives. It must never be shared across different tuples.
     """
     gens = tuple(generators)
     n = len(gens)
@@ -99,7 +110,8 @@ def member_certificate(
     # memo[u]: index of a generator starting a representation of u, or
     # _NOT_MEMBER. Children have strictly smaller coordinate sum, so the
     # explicit DFS stack below always terminates.
-    memo: dict[Vec2, int] = {}
+    if memo is None:
+        memo = {}
     stack: list[list] = [[target, 0]]
     while stack:
         frame = stack[-1]
@@ -182,11 +194,12 @@ def _validate_extension(
 ) -> tuple[int, tuple[int, ...]]:
     if not (b.is_nonnegative() and not b.is_zero()):
         raise BadExtension(f"extension vector {b} must be a nonzero point of N^2")
-    if member_certificate(base_generators, b) is not None:
+    memo: dict[Vec2, int] = {}
+    if member_certificate(base_generators, b, memo) is not None:
         raise BadExtension(f"{b} already lies in the base semigroup")
     mu = None
     for m in range(2, mu_bound + 1):
-        if member_certificate(base_generators, m * b) is not None:
+        if member_certificate(base_generators, m * b, memo) is not None:
             mu = m
             break
     if mu is None:
@@ -223,6 +236,7 @@ def build_family(
 
     generators = tuple(a + i * d for i in range(k + 1))
     for j, g in enumerate(generators):
+        # a fresh memo each time: every g is tested against its own tuple
         others = generators[:j] + generators[j + 1 :]
         cert = member_certificate(others, g)
         if cert is not None:
@@ -283,10 +297,11 @@ def apery_bruteforce(
     gens = f.all_generators
     rays = E if E is not None else extremal_rays(f)
     rays = tuple(rays)
+    memo: dict[Vec2, int] = {}
     for e in rays:
         if e.is_zero():
             raise ValueError("Apery base elements must be nonzero")
-        if member_certificate(gens, e) is None:
+        if member_certificate(gens, e, memo) is None:
             raise ValueError(f"Apery base element {e} is not in the semigroup")
     if cap is None:
         cap = 4 * (f.extension_mu or 1)
@@ -306,7 +321,7 @@ def apery_bruteforce(
     elements = {
         v
         for v in first_layer
-        if all(member_certificate(gens, v - e) is None for e in rays)
+        if all(member_certificate(gens, v - e, memo) is None for e in rays)
     }
     if any(first_layer[v] == cap for v in elements):
         warnings.warn(
@@ -320,10 +335,11 @@ def apery_bruteforce(
 
 def _max_by_divisibility(f: SemigroupFamily, elements: frozenset[Vec2]) -> list[Vec2]:
     gens = f.all_generators
+    memo: dict[Vec2, int] = {}
     maximal = []
     for m in elements:
         dominated = any(
-            m2 != m and member_certificate(gens, m2 - m) is not None
+            m2 != m and member_certificate(gens, m2 - m, memo) is not None
             for m2 in elements
         )
         if not dominated:

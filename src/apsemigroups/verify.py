@@ -30,7 +30,7 @@ from .closed_forms import (
     regularity_from_resolution,
     resolution,
 )
-from .errors import InfiniteDimension
+from .errors import BoxTooLarge, InfiniteDimension
 from .lattice import Vec2
 from .polynomials import (
     Polynomial,
@@ -69,6 +69,11 @@ class EnumerationBox:
     def __post_init__(self):
         if self.cap_x <= 0 or self.cap_y <= 0:
             raise ValueError("box caps must be positive")
+
+
+# Ceiling on (cap_x + 1) * (cap_y + 1) for the truncation check, whose
+# series oracle holds the whole box densely, one list slot per cell.
+_BOX_CELL_BUDGET = 1 << 24
 
 
 def default_box(f: SemigroupFamily) -> EnumerationBox:
@@ -437,9 +442,20 @@ def _timed(name: str, fn) -> CheckResult:
 
 
 def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> Report:
-    """Run every applicable check on the family and collect the verdicts."""
+    """Run every applicable check on the family and collect the verdicts.
+
+    Raises BoxTooLarge before any check runs when the truncation check would
+    need a box of more than _BOX_CELL_BUDGET cells.
+    """
     opts = options or VerifyOptions()
     box = opts.box or default_box(f)
+    truncation = opts.include_truncation and f.k in (2, 3, 4)
+    cells = (box.cap_x + 1) * (box.cap_y + 1)
+    if truncation and cells > _BOX_CELL_BUDGET:
+        raise BoxTooLarge(
+            f"truncation box {box.cap_x + 1} x {box.cap_y + 1} has {cells} cells, "
+            f"over the limit of {_BOX_CELL_BUDGET} cells"
+        )
     report = Report(family=f)
     checks = report.checks
 
@@ -547,7 +563,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
 
     # Hilbert series, resolution, regularity: stored closed forms for k <= 4.
     if f.k in (2, 3, 4):
-        if opts.include_truncation:
+        if truncation:
             form = hilbert_numerator(f)
             checks.append(hilbert_truncation_check(f, form, box))
         if not f.is_extended:
@@ -605,8 +621,9 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
             data = gluing_data(f)
             if not vanishes_under_degree_map(data.extra_generator, family_grading(f)):
                 return False, "glue binomial does not vanish under the degree map"
+            memo: dict[Vec2, int] = {}
             for m in range(1, data.mu):
-                if member_certificate(f.generators, m * f.extension) is not None:
+                if member_certificate(f.generators, m * f.extension, memo) is not None:
                     return False, f"{m}*b already lies in the base semigroup"
             if data.lam[0] == 0 and data.lam[-1] == 0:
                 return False, "chosen lambda touches neither extremal variable"

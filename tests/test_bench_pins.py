@@ -1,10 +1,11 @@
-"""The benchmark's correctness gate, run on a fast subset of its calls.
+"""The benchmark's correctness gate, run on all of its seed-0 calls.
 
 `perfbench/` pins every benchmarked call twice: the sha256 of its stdout
 (`digests.json`) and, traced, its count of calls to each public function of
 the package (`counts.json`). A change that alters either fails the benchmark
-run. These tests apply the same gate with the benchmark's own harness, which
-they import read-only from `perfbench/`, so such a change fails here first.
+run. These tests apply the same gate to every seed-0 call of every workload,
+with the benchmark's own harness, which they import read-only from
+`perfbench/`, so such a change fails here first.
 """
 
 import signal
@@ -22,24 +23,8 @@ from tracer import Tracer  # noqa: E402
 
 from apsemigroups import cli  # noqa: E402
 
-# glued-verify calls that take a fraction of a second each; the showcase and
-# the other k = 2 families take seconds
-GLUED_FAST = {
-    "verify --format json --a 0,2 --d 1,0 --k 2 --b 1,1",
-    "verify --format json --a 2,0 --d 0,1 --k 2 --b 1,1",
-    "verify --format json --a 2,2 --d 0,1 --k 2 --b 3,4",
-}
-
-
-def _k(argv) -> int:
-    return int(argv[argv.index("--k") + 1])
-
-
-PINNED = {
-    "wide-verify": (lambda argv: True, 27),
-    "analyze-sweep": (lambda argv: _k(argv) <= 4, 15),
-    "glued-verify": (lambda argv: " ".join(argv) in GLUED_FAST, 3),
-}
+# workload -> number of seed-0 calls; every call of every workload is pinned
+PINNED = {"wide-verify": 27, "analyze-sweep": 23, "glued-verify": 13}
 
 
 @pytest.fixture
@@ -51,9 +36,8 @@ def alarm():
 
 @pytest.mark.parametrize("workload", sorted(PINNED))
 def test_digests_and_traced_counts_match_the_recorded_ones(workload, alarm):
-    keep, size = PINNED[workload]
-    calls = [argv for argv in workloads.generate(workload, workloads.DEFAULT_SEED) if keep(argv)]
-    assert len(calls) == size
+    calls = workloads.generate(workload, workloads.DEFAULT_SEED)
+    assert len(calls) == PINNED[workload]
     digests = harness.recorded(harness.DIGESTS, workload)
     counts = harness.recorded(harness.COUNTS, workload)
 

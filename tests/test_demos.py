@@ -9,12 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_verification_suite.py is left out: it takes several seconds on its own.
 DEMOS = [
     "01_invariants.py",
     "02_defining_ideal.py",
     "03_resolution_and_hilbert.py",
     "04_gluing_extension.py",
+    "05_verification_suite.py",
 ]
 
 

@@ -3,6 +3,7 @@ import pytest
 from apsemigroups import (
     InfiniteDimension,
     GroebnerBasis,
+    MonomialOrder,
     PolynomialRing,
     Vec2,
     buchberger,
@@ -88,6 +89,59 @@ class TestOrders:
                         shifted = tuple(a + b for a, b in zip(m1, m))
                         shifted2 = tuple(a + b for a, b in zip(m2, m))
                         assert compare(order, shifted, shifted2) == c
+
+
+def reference_key(order, m):
+    """The order key as the uncompiled formula, per kind."""
+
+    def grevlex_key(idxs):
+        return (sum(m[i] for i in idxs), tuple(-m[i] for i in reversed(idxs)))
+
+    if order.kind == "grevlex":
+        return grevlex_key(order.precedence)
+    if order.kind == "lex":
+        return tuple(m[i] for i in order.precedence)
+    head = order.precedence[: order.block]
+    tail = order.precedence[order.block :]
+    return (grevlex_key(head), grevlex_key(tail))
+
+
+class TestCompiledKeys:
+    N = 5
+
+    def monomials(self, rng):
+        return [tuple(rng.randint(0, 6) for _ in range(self.N)) for _ in range(30)]
+
+    @pytest.mark.parametrize("kind", ["grevlex", "lex"])
+    @pytest.mark.parametrize("length", [0, 1, 2, N])
+    def test_precedence_orders_match_reference(self, rng, kind, length):
+        for _ in range(5):
+            prec = tuple(rng.sample(range(self.N), length))
+            order = MonomialOrder(kind, prec)
+            for m in self.monomials(rng):
+                assert order.key(m) == reference_key(order, m)
+
+    @pytest.mark.parametrize("block", range(N + 1))
+    def test_elimination_blocks_match_reference(self, rng, block):
+        for _ in range(5):
+            prec = tuple(rng.sample(range(self.N), self.N))
+            order = MonomialOrder("elim", prec, block=block)
+            for m in self.monomials(rng):
+                assert order.key(m) == reference_key(order, m)
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown order kind 'deglex'"):
+            MonomialOrder("deglex", (0, 1))
+
+    def test_equality_and_hash_ignore_the_compiled_key(self):
+        assert grevlex(4) == grevlex(4)
+        assert hash(grevlex(4)) == hash(grevlex(4))
+        assert grevlex(4) != lex_order(range(4))
+
+    def test_key_is_looked_up_on_the_class(self):
+        # instrumentation replaces MonomialOrder.key; an instance attribute
+        # would shadow it
+        assert "key" not in vars(grevlex(3))
 
 
 class TestSPolynomial:

@@ -22,7 +22,7 @@ from apsemigroups import (
     member_certificate,
     quasi_frobenius,
 )
-from conftest import random_family
+from conftest import random_extended_family, random_family
 
 
 class TestBuildFamily:
@@ -117,6 +117,43 @@ class TestMembership:
     def test_extended_membership_uses_extension(self, example_two):
         cert = is_member(example_two, Vec2(9, 11))
         assert cert == (0, 0, 0, 0, 1)
+
+    def test_shared_memo_gives_the_fresh_certificate(self, rng):
+        families = [random_family(rng, k) for k in (2, 3, 4) for _ in range(2)]
+        families += [random_extended_family(rng, k) for k in (2, 3) for _ in range(2)]
+        targets = [Vec2(x, y) for x in range(36) for y in range(36)]
+        for f in families:
+            gens = f.all_generators
+            memo = {}
+            rng.shuffle(targets)
+            for v in targets:
+                assert member_certificate(gens, v, memo) == member_certificate(gens, v)
+
+    def test_memos_are_shared_within_one_generator_tuple_only(self, monkeypatch, rng):
+        # build_family's minimality loop tests each generator against a
+        # different tuple, so one memo there would break the contract
+        from apsemigroups import semigroup, verify
+
+        original = semigroup.member_certificate
+        tuples_by_memo = {}
+        memos = []  # keeps every memo alive, so no id is reused
+
+        def spy(generators, target, memo=None):
+            gens = tuple(generators)
+            if memo is not None:
+                memos.append(memo)
+                assert tuples_by_memo.setdefault(id(memo), gens) == gens
+            return original(gens, target, memo)
+
+        monkeypatch.setattr(semigroup, "member_certificate", spy)
+        monkeypatch.setattr(verify, "member_certificate", spy)
+        f = build_family(Vec2(2, 3), Vec2(2, 2), 3, Vec2(9, 11))
+        verify.full_report(f, verify.VerifyOptions(include_toric=False))
+        for k in (2, 3, 4):
+            quasi_frobenius(random_family(rng, k))
+        first = len(memos)
+        apery_bruteforce(f)
+        assert len({id(m) for m in memos[first:]}) == 1
 
 
 class TestExtremalRays:

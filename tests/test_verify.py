@@ -3,6 +3,7 @@ import time
 import pytest
 
 from apsemigroups import (
+    BoxTooLarge,
     EnumerationBox,
     HilbertSeriesForm,
     Vec2,
@@ -342,3 +343,48 @@ class TestFullReport:
                 (c.name, c.witness) for c in report.checks if not c.passed
             ]
             assert report.flags["cohen_macaulay"] is True
+
+
+class TestBoxBudget:
+    @pytest.fixture
+    def no_box_oracles(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the box was allocated")
+
+        monkeypatch.setattr(verify, "enumerate_semigroup", refuse)
+        monkeypatch.setattr(verify, "expand_series", refuse)
+
+    def test_budget_is_checked_before_any_check(self, example_one, monkeypatch):
+        monkeypatch.setattr(verify, "_BOX_CELL_BUDGET", 100)
+        # the first check calls it, so the report fails if any check runs
+        monkeypatch.setattr(verify, "apery_bruteforce", None)
+        opts = VerifyOptions(box=EnumerationBox(10, 9), include_toric=False)
+        message = "11 x 10 has 110 cells, over the limit of 100 cells"
+        with pytest.raises(BoxTooLarge, match=message):
+            full_report(example_one, opts)
+
+    def test_budget_edge_is_inclusive(self, example_one, monkeypatch):
+        monkeypatch.setattr(verify, "_BOX_CELL_BUDGET", 100)
+        opts = VerifyOptions(box=EnumerationBox(9, 9), include_toric=False)
+        assert full_report(example_one, opts).ok
+
+    def test_no_budget_without_the_truncation_check(self, example_one, no_box_oracles):
+        huge = EnumerationBox(1 << 20, 1 << 20)
+        opts = VerifyOptions(box=huge, include_toric=False, include_truncation=False)
+        assert full_report(example_one, opts).ok
+        k5 = build_family(Vec2(5, 4), Vec2(4, 9), 5)
+        assert full_report(k5, VerifyOptions(box=huge, include_toric=False)).ok
+
+    def test_cli_exits_2_on_a_default_box_over_budget(self, capsys, no_box_oracles):
+        from apsemigroups.cli import main
+
+        argv = ["--a", "600,1", "--d", "599,599", "--k", "2"]
+        start = time.perf_counter()
+        code = main(["verify", "--skip-toric"] + argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "5395 x 5395 has 29106025 cells, over the limit of 16777216 cells" in err
+        assert elapsed < 5
+        assert main(["analyze"] + argv) == 0
