@@ -1,6 +1,11 @@
 """Command-line front end: parse a family, run analyses, emit reports.
 
 Subcommands: analyze, ideal, groebner, hilbert, resolution, extend, verify.
+Every subcommand takes --a, --d, --k, --b (required by extend), --mu-bound
+and --format; --apery-cap (at least 1) only analyze, extend and verify, which
+run the brute-force Apery oracle; --box-x, --box-y and --skip-toric only
+verify, which runs the truncation and elimination oracles.
+
 Output is deterministic (no timings), text by default or canonical JSON with
 --format json; integers beyond 2^53 are serialized as decimal strings so
 non-arbitrary-precision consumers cannot lose digits.
@@ -76,16 +81,23 @@ def _family_section(f: SemigroupFamily) -> dict:
     return out
 
 
-def _apery_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
+def _apery_routes(f: SemigroupFamily, cap: Optional[int]):
+    """The closed-form and brute-force Apery sets, and the reconciliation
+    note when they differ (else None)."""
     closed = apery_extended(f) if f.is_extended else apery_closed_form(f)
     brute = apery_bruteforce(f, cap=cap)
+    return closed, brute, None if closed.elements == brute.elements else _RECONCILIATION
+
+
+def _apery_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
+    closed, brute, note = _apery_routes(f, cap)
     out = {
         "base": [_jvec(v) for v in closed.base],
         "closed_form": [_jvec(v) for v in closed.sorted_elements()],
         "bruteforce": [_jvec(v) for v in brute.sorted_elements()],
     }
-    if closed.elements != brute.elements:
-        out["reconciliation"] = _RECONCILIATION
+    if note:
+        out["reconciliation"] = note
     return out
 
 
@@ -121,8 +133,7 @@ def _resolution_section(f: SemigroupFamily) -> dict:
 
 def _extension_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
     data = gluing_data(f)
-    closed = apery_extended(f)
-    brute = apery_bruteforce(f, cap=cap)
+    closed, brute, note = _apery_routes(f, cap)
     out = {
         "b": _jvec(f.extension),
         "mu": data.mu,
@@ -133,8 +144,8 @@ def _extension_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
         "apery_bruteforce": [_jvec(v) for v in brute.sorted_elements()],
         "qf": [_jvec(v) for v in sorted(quasi_frobenius(f))],
     }
-    if closed.elements != brute.elements:
-        out["reconciliation"] = _RECONCILIATION
+    if note:
+        out["reconciliation"] = note
     try:
         out["betti"] = list(extended_betti(f.k))
     except UnsupportedK:
@@ -223,24 +234,27 @@ def _parse_vec(text: str) -> Vec2:
         raise FamilyError(f"expected a vector 'x,y', got {text!r}") from exc
 
 
-def _add_family_args(p: argparse.ArgumentParser, with_b: str = "optional") -> None:
+def _add_family_args(p: argparse.ArgumentParser, command: str) -> None:
+    """The flags of one subcommand: each oracle flag only where it acts."""
     p.add_argument("--a", required=True, help="first generator, as 'x,y'")
     p.add_argument("--d", required=True, help="common difference, as 'x,y'")
     p.add_argument("--k", required=True, type=int, help="number of steps (>= 2)")
-    if with_b == "required":
+    if command == "extend":
         p.add_argument("--b", required=True, help="extension vector, as 'x,y'")
-    elif with_b == "optional":
+    else:
         p.add_argument("--b", help="optional extension vector, as 'x,y'")
     p.add_argument("--mu-bound", type=int, default=64, help="search bound for mu")
-    p.add_argument("--apery-cap", type=int, default=None, help="brute-force Apery cap")
-    p.add_argument("--box-x", type=int, default=None, help="truncation box width")
-    p.add_argument("--box-y", type=int, default=None, help="truncation box height")
-    p.add_argument("--skip-toric", action="store_true", help="skip the elimination cross-check")
+    if command in ("analyze", "extend", "verify"):
+        p.add_argument("--apery-cap", type=int, default=None, help="brute-force Apery cap")
+    if command == "verify":
+        p.add_argument("--box-x", type=int, default=None, help="truncation box width")
+        p.add_argument("--box-y", type=int, default=None, help="truncation box height")
+        p.add_argument("--skip-toric", action="store_true", help="skip the elimination cross-check")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _build(args) -> SemigroupFamily:
-    b = _parse_vec(args.b) if getattr(args, "b", None) else None
+    b = _parse_vec(args.b) if args.b else None
     return build_family(
         _parse_vec(args.a), _parse_vec(args.d), args.k, b, mu_bound=args.mu_bound
     )
@@ -261,7 +275,7 @@ def _report_doc(f, args) -> tuple[dict, Report]:
     truncation oracles."""
     full = args.command == "verify"
     opts = VerifyOptions(
-        box=_box(args, f),
+        box=_box(args, f) if full else None,
         include_toric=full and not args.skip_toric,
         include_truncation=full,
         apery_cap=args.apery_cap,
@@ -312,7 +326,7 @@ def main(argv=None) -> int:
     }
     for name, desc in specs.items():
         p = sub.add_parser(name, help=desc)
-        _add_family_args(p, with_b="required" if name == "extend" else "optional")
+        _add_family_args(p, name)
 
     args = parser.parse_args(argv)
     report = None

@@ -292,8 +292,11 @@ def apery_bruteforce(
     whose minimal coefficient-sum representation is at most cap.
 
     Warns CapTooSmall when the outermost enumeration layer still contains
-    Apery candidates, since deeper layers might then contain more.
+    Apery candidates, since deeper layers might then contain more. Raises
+    ValueError when cap is below 1.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"apery cap must be at least 1, got {cap}")
     gens = f.all_generators
     rays = E if E is not None else extremal_rays(f)
     rays = tuple(rays)

@@ -8,6 +8,8 @@ evaluates the named minors. None of these reuse the closed forms they judge.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -134,6 +136,25 @@ class VerifyOptions:
     apery_cap: Optional[int] = None
 
 
+def _check(name: str):
+    """Turn a function that computes what a check judges and returns
+    (passed, witness) into one that returns the CheckResult `name`, timed
+    over the whole call. The result keeps fn's name, docstring and
+    parameters, and its signature names CheckResult as the return type."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            passed, witness = fn(*args, **kwargs)
+            return CheckResult(name, passed, witness, time.perf_counter() - start)
+
+        run.__signature__ = inspect.signature(fn).replace(return_annotation="CheckResult")
+        return run
+
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # enumeration and series oracles
 
@@ -221,9 +242,10 @@ def _bit_list(bits: int, width: int) -> list[int]:
     return list(bin(bits)[:1:-1].ljust(width, "0").encode().translate(_BIT_BYTES))
 
 
+@_check("hilbert_truncation")
 def hilbert_truncation_check(
     f: SemigroupFamily, form: HilbertSeriesForm, box: EnumerationBox
-) -> CheckResult:
+) -> tuple[bool, Optional[str]]:
     """Coefficient-for-coefficient agreement of the closed form with the
     enumerated semigroup: 1 on semigroup points, 0 elsewhere.
 
@@ -231,7 +253,6 @@ def hilbert_truncation_check(
     compared with its bitset whole; only a row that differs is scanned for
     its first differing cell.
     """
-    start = time.perf_counter()
     member_rows = [0] * (box.cap_x + 1)
     for v in enumerate_semigroup(f, box):
         member_rows[v.x] |= 1 << v.y
@@ -241,16 +262,8 @@ def hilbert_truncation_check(
         if row == _bit_list(bits, width):
             continue
         y = next(y for y, got in enumerate(row) if got != (bits >> y) & 1)
-        return CheckResult(
-            "hilbert_truncation",
-            False,
-            witness=f"coefficient at {Vec2(x, y)} is {row[y]}, "
-            f"expected {(bits >> y) & 1}",
-            elapsed=time.perf_counter() - start,
-        )
-    return CheckResult(
-        "hilbert_truncation", True, elapsed=time.perf_counter() - start
-    )
+        return False, f"coefficient at {Vec2(x, y)} is {row[y]}, expected {(bits >> y) & 1}"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +339,15 @@ def _named_minors(k: int):
     return []
 
 
-def complex_check(res: GradedResolution) -> CheckResult:
+@_check("complex_check")
+def complex_check(res: GradedResolution) -> tuple[bool, Optional[str]]:
     """delta_i * delta_{i+1} = 0, constant-free entries, shift consistency,
     and the named minors valued at the stated products (up to sign)."""
-    start = time.perf_counter()
-
-    def fail(witness: str) -> CheckResult:
-        return CheckResult(
-            "complex_check", False, witness=witness, elapsed=time.perf_counter() - start
-        )
-
     for idx, matrix in enumerate(res.maps):
         for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
                 if not entry.is_zero() and (0,) * entry.ring.nvars in entry.terms:
-                    return fail(
-                        f"map {idx + 1} entry ({i + 1},{j + 1}) has a constant term"
-                    )
+                    return False, f"map {idx + 1} entry ({i + 1},{j + 1}) has a constant term"
     for idx in range(len(res.maps) - 1):
         left, right = res.maps[idx], res.maps[idx + 1]
         for i in range(len(left)):
@@ -351,9 +356,7 @@ def complex_check(res: GradedResolution) -> CheckResult:
                 for t in range(len(right)):
                     acc = acc + left[i][t] * right[t][j]
                 if not acc.is_zero():
-                    return fail(
-                        f"(delta{idx + 1} * delta{idx + 2})[{i + 1}][{j + 1}] = {acc}"
-                    )
+                    return False, f"(delta{idx + 1} * delta{idx + 2})[{i + 1}][{j + 1}] = {acc}"
 
     # Recompute the column degrees independently and compare with the stored
     # shift lists.
@@ -361,9 +364,9 @@ def complex_check(res: GradedResolution) -> CheckResult:
     for idx, matrix in enumerate(res.maps):
         degs = _column_degrees(matrix, row_degrees, lambda p: s_degree(p, res.grading))
         if degs != res.column_degrees[idx]:
-            return fail(f"map {idx + 1} column degrees disagree with stored shifts")
+            return False, f"map {idx + 1} column degrees disagree with stored shifts"
         if _aggregate(degs) != res.shifts[idx + 1]:
-            return fail(f"shift multiset C_{idx + 1} disagrees with the matrices")
+            return False, f"shift multiset C_{idx + 1} disagrees with the matrices"
         row_degrees = degs
 
     for name, map_idx, rows, cols, expected in _named_minors(res.k):
@@ -371,15 +374,16 @@ def complex_check(res: GradedResolution) -> CheckResult:
         sub = [[matrix[i][j] for j in cols] for i in rows]
         det_val = poly_matrix_det(sub)
         if det_val != expected and det_val != -expected:
-            return fail(f"minor {name} = {det_val}, expected +/-({expected})")
-    return CheckResult("complex_check", True, elapsed=time.perf_counter() - start)
+            return False, f"minor {name} = {det_val}, expected +/-({expected})"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
 # quotient-dimension check
 
 
-def gastinger_check(f: SemigroupFamily, gens=None) -> CheckResult:
+@_check("gastinger")
+def gastinger_check(f: SemigroupFamily, gens=None) -> tuple[bool, Optional[str]]:
     """Two halves: the proposed generators vanish under the degree map (so
     they lie in the kernel), and the quotient by them plus the extremal-ray
     variables has exactly |Ap(S, E)| standard monomials; together these force
@@ -387,7 +391,6 @@ def gastinger_check(f: SemigroupFamily, gens=None) -> CheckResult:
 
     `gens` overrides the generator list, for sensitivity controls.
     """
-    start = time.perf_counter()
     ring = family_ring(f)
     grading = family_grading(f)
     if f.is_extended:
@@ -401,44 +404,21 @@ def gastinger_check(f: SemigroupFamily, gens=None) -> CheckResult:
             gens = list(generating_set(f.k, ring).G)
     for g in gens:
         if not vanishes_under_degree_map(g, grading):
-            return CheckResult(
-                "gastinger",
-                False,
-                witness=f"{g} does not vanish under the degree map",
-                elapsed=time.perf_counter() - start,
-            )
+            return False, f"{g} does not vanish under the degree map"
     order = grevlex(ring.nvars)
     rays = [ring.var(0), ring.var(f.k)]
     gb = buchberger(list(gens) + rays, order)
     try:
         count = len(standard_monomials(gb))
     except InfiniteDimension as exc:
-        return CheckResult(
-            "gastinger",
-            False,
-            witness=f"quotient is not finite dimensional: {exc}",
-            elapsed=time.perf_counter() - start,
-        )
+        return False, f"quotient is not finite dimensional: {exc}"
     if count != expected:
-        return CheckResult(
-            "gastinger",
-            False,
-            witness=f"quotient dimension {count}, expected {expected}",
-            elapsed=time.perf_counter() - start,
-        )
-    return CheckResult("gastinger", True, elapsed=time.perf_counter() - start)
+        return False, f"quotient dimension {count}, expected {expected}"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
 # the aggregate report
-
-
-def _timed(name: str, fn) -> CheckResult:
-    """Run fn, which computes what the check judges and returns (passed,
-    witness), inside the check's timer."""
-    start = time.perf_counter()
-    passed, witness = fn()
-    return CheckResult(name, passed, witness, elapsed=time.perf_counter() - start)
 
 
 def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> Report:
@@ -460,6 +440,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
     checks = report.checks
 
     # Apery: closed form against the brute-force definition.
+    @_check("apery_closed_vs_bruteforce")
     def apery_cmp():
         closed = (
             apery_extended(f).elements
@@ -475,41 +456,46 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
         )
         return False, note
 
-    checks.append(_timed("apery_closed_vs_bruteforce", apery_cmp))
+    checks.append(apery_cmp())
 
+    @_check("cm_type_is_k_minus_1")
     def type_from_qf():
         qf = quasi_frobenius(f)
         ok = len(qf) == f.k - 1
         return ok, None if ok else f"|QF| = {len(qf)}"
 
-    checks.append(_timed("cm_type_is_k_minus_1", type_from_qf))
+    checks.append(type_from_qf())
 
     cm = normal = None  # set by their checks, and read again for the flags
 
+    @_check("cohen_macaulay")
     def cohen_macaulay():
         nonlocal cm
         cm = is_cohen_macaulay(f)
         return cm.holds, None if cm.holds else f"violating pair {cm.witness}"
 
-    checks.append(_timed("cohen_macaulay", cohen_macaulay))
+    checks.append(cohen_macaulay())
 
+    @_check("gorenstein_iff_k_is_2")
     def gorenstein():
         ok = (cm_type(f) == 1) == (f.k == 2)
         return ok, None if ok else f"type {cm_type(f)} with k = {f.k}"
 
-    checks.append(_timed("gorenstein_iff_k_is_2", gorenstein))
+    checks.append(gorenstein())
 
     if f.is_extended:
         normal = is_normal(f)
     else:
 
+        @_check("normality_of_base_family")
         def normality():
             nonlocal normal
             normal = is_normal(f)
             return normal.holds, None if normal.holds else f"witness {normal.witness}"
 
-        checks.append(_timed("normality_of_base_family", normality))
+        checks.append(normality())
 
+    @_check("apery_elements_have_ray_degree_1")
     def degree_one():
         for i in range(1, f.k):
             _, deg = degree_in_rays(f, f.a + i * f.d)
@@ -517,7 +503,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
                 return False, f"deg(a + {i}d) = {deg}"
         return True, None
 
-    checks.append(_timed("apery_elements_have_ray_degree_1", degree_one))
+    checks.append(degree_one())
 
     # Defining ideal: Groebner claim and idempotence of completion.
     ring = family_ring(f)
@@ -525,6 +511,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
     base_gens = list(generating_set(f.k, ring).G)
     gens = base_gens + ([gluing_data(f).extra_generator] if f.is_extended else [])
 
+    @_check("leading_terms_are_middle_products")
     def middle_leading_terms():
         # the order reading stands or falls with this: every leading term
         # must be the product of two middle variables
@@ -534,30 +521,33 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
                 return False, f"leading term of {g} is not a middle product"
         return True, None
 
-    checks.append(_timed("leading_terms_are_middle_products", middle_leading_terms))
+    checks.append(middle_leading_terms())
 
+    @_check("generating_set_is_groebner")
     def groebner_claim():
         claim = is_groebner_basis(base_gens, order)
         return claim.holds, None if claim.holds else f"failing pair {claim.witness}"
 
-    checks.append(_timed("generating_set_is_groebner", groebner_claim))
+    checks.append(groebner_claim())
 
+    @_check("buchberger_adds_nothing")
     def idempotent():
         out = buchberger(base_gens, order)
         same = {monic(g, order) for g in base_gens} == set(out.elements)
         return same, None if same else f"completion returned {len(out)} elements"
 
-    checks.append(_timed("buchberger_adds_nothing", idempotent))
+    checks.append(idempotent())
 
     full_gb = buchberger(gens, order)
 
     if opts.include_toric:
 
+        @_check("ideal_equals_toric_kernel")
         def toric_cmp():
             same = ideal_equal(toric_kernel(f), full_gb)
             return same, None if same else "elimination kernel differs from closed form"
 
-        checks.append(_timed("ideal_equals_toric_kernel", toric_cmp))
+        checks.append(toric_cmp())
 
     checks.append(gastinger_check(f))
 
@@ -570,6 +560,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
             res = resolution(f)
             checks.append(complex_check(res))
 
+            @_check("numerator_equals_shift_sum")
             def numerator_matches_shifts():
                 acc: dict[Vec2, int] = {}
                 for i, layer in enumerate(res.shifts):
@@ -580,17 +571,19 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
                 same = acc == hilbert_numerator(f).numerator_dict()
                 return same, None if same else "alternating shift sum != numerator"
 
-            checks.append(_timed("numerator_equals_shift_sum", numerator_matches_shifts))
+            checks.append(numerator_matches_shifts())
 
+            @_check("regularity_is_2")
             def regularity_agreement():
                 by_apery = regularity(f)
                 by_res = regularity_from_resolution(f)
                 ok = by_apery == by_res == 2
                 return ok, None if ok else f"apery {by_apery}, resolution {by_res}"
 
-            checks.append(_timed("regularity_is_2", regularity_agreement))
+            checks.append(regularity_agreement())
         else:
 
+            @_check("extended_betti_match_mapping_cone")
             def cone_betti():
                 base = resolution(
                     SemigroupFamily(f.a, f.d, f.k, f.generators)
@@ -606,17 +599,19 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
                     None if cone == stored else f"cone {cone} != stored {stored}",
                 )
 
-            checks.append(_timed("extended_betti_match_mapping_cone", cone_betti))
+            checks.append(cone_betti())
     elif not f.is_extended:
 
+        @_check("regularity_is_2")
         def regularity_generic():
             val = regularity(f)
             return val == 2, None if val == 2 else f"regularity {val}"
 
-        checks.append(_timed("regularity_is_2", regularity_generic))
+        checks.append(regularity_generic())
 
     if f.is_extended:
 
+        @_check("gluing_consistency")
         def gluing_consistency():
             data = gluing_data(f)
             if not vanishes_under_degree_map(data.extra_generator, family_grading(f)):
@@ -629,7 +624,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
                 return False, "chosen lambda touches neither extremal variable"
             return True, None
 
-        checks.append(_timed("gluing_consistency", gluing_consistency))
+        checks.append(gluing_consistency())
 
     report.flags = {
         "cohen_macaulay": cm.holds,

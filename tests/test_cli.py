@@ -207,3 +207,78 @@ class TestDeterminism:
         assert doc["family"]["a"][0] == str(big)
         reparsed = json.dumps(json.loads(raw), indent=2) + "\n"
         assert reparsed == raw
+
+
+class TestAperyCap:
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_exit_2(self, capsys, cap):
+        code, out, err = run(
+            capsys, ["analyze", "--a", "2,3", "--d", "2,2", "--k", "3", "--apery-cap", cap]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"apery cap must be at least 1, got {cap}" in err
+
+
+COMMANDS = ("analyze", "ideal", "groebner", "hilbert", "resolution", "extend", "verify")
+FAMILY = ["--a", "1,2", "--d", "2,1", "--k", "2"]
+GLUE = ["--b", "3,4"]
+# the arguments each flag is tried with; --a, --d and --k are in every call
+FLAG_ARGS = {
+    "--a": [],
+    "--d": [],
+    "--k": [],
+    "--b": GLUE,
+    "--mu-bound": ["--mu-bound", "8"],
+    "--apery-cap": ["--apery-cap", "4"],
+    "--box-x": ["--box-x", "20"],
+    "--box-y": ["--box-y", "20"],
+    "--skip-toric": ["--skip-toric"],
+    "--format": ["--format", "json"],
+}
+# the flags only some subcommands take; every subcommand takes the others
+TAKEN_BY = {
+    "--apery-cap": ("analyze", "extend", "verify"),
+    "--box-x": ("verify",),
+    "--box-y": ("verify",),
+    "--skip-toric": ("verify",),
+}
+PAIRS = [(c, flag) for c in COMMANDS for flag in FLAG_ARGS]
+KEPT = [(c, flag) for c, flag in PAIRS if c in TAKEN_BY.get(flag, COMMANDS)]
+REMOVED = [pair for pair in PAIRS if pair not in KEPT]
+
+
+def family_argv(command, *extra):
+    return [command, *FAMILY, *(GLUE if command == "extend" else []), *extra]
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command, flag", KEPT)
+    def test_kept_flag_parses(self, capsys, command, flag):
+        # argparse rejects a flag by raising SystemExit; any other outcome,
+        # an exit code included, means the flag was parsed
+        assert isinstance(main(family_argv(command, *FLAG_ARGS[flag])), int)
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_flag_not_taken_exit_2(self, capsys, command, flag):
+        args = FLAG_ARGS[flag]
+        with pytest.raises(SystemExit) as exc:
+            main(family_argv(command, *args))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["verify", "--a", "5,4", "--d", "4,9", "--k", "3"], ["--skip-toric"]),
+            # a box over the cell budget is refused with its size named
+            (["verify", "--a", "5,4", "--d", "4,9", "--k", "3"], ["--box-x", "200000"]),
+            (["verify", "--a", "5,4", "--d", "4,9", "--k", "3"], ["--box-y", "200000"]),
+            (["analyze", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11"],
+             ["--apery-cap", "1"]),
+            (["extend", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11"],
+             ["--apery-cap", "1"]),
+        ],
+    )
+    def test_kept_flag_changes_output(self, capsys, argv, flags):
+        assert run(capsys, argv + flags) != run(capsys, argv)

@@ -144,6 +144,93 @@ class TestCompiledKeys:
         assert "key" not in vars(grevlex(3))
 
 
+@pytest.fixture
+def hypothesis():
+    return pytest.importorskip("hypothesis")
+
+
+def _property_settings(hypothesis):
+    return hypothesis.settings(
+        max_examples=150, derandomize=True, database=None, deadline=None
+    )
+
+
+def _orders(st, n):
+    """grevlex, lex and elimination orders on n variables, each with a random
+    precedence (and a random block for elimination)."""
+    perms = st.permutations(range(n)).map(tuple)
+    return st.one_of(
+        perms.map(lambda p: MonomialOrder("grevlex", p)),
+        perms.map(lambda p: MonomialOrder("lex", p)),
+        st.tuples(perms, st.integers(0, n)).map(
+            lambda pb: MonomialOrder("elim", pb[0], block=pb[1])
+        ),
+    )
+
+
+def _monomials(st, n, top):
+    return st.tuples(*[st.integers(0, top)] * n)
+
+
+class TestOrderProperties:
+    def test_total_multiplicative_with_one_minimal(self, hypothesis):
+        st = hypothesis.strategies
+
+        @_property_settings(hypothesis)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 5))
+            order = data.draw(_orders(st, n))
+            m1, m2, m3, m = (data.draw(_monomials(st, n, 6)) for _ in range(4))
+            one = (0,) * n
+            c = compare(order, m1, m2)
+            # total, antisymmetric and transitive
+            assert (c == 0) == (m1 == m2)
+            assert compare(order, m2, m1) == -c
+            if c <= 0 and compare(order, m2, m3) <= 0:
+                assert compare(order, m1, m3) <= 0
+            # multiplicative, with 1 the minimum
+            s1, s2 = (tuple(a + b for a, b in zip(u, m)) for u in (m1, m2))
+            assert compare(order, s1, s2) == c
+            assert compare(order, m1, one) == (m1 != one)
+            # the key sorts as compare does
+            k1, k2 = order.key(m1), order.key(m2)
+            assert c == (k1 > k2) - (k1 < k2)
+
+        check()
+
+
+class TestReduceProperties:
+    def test_remainder_is_reduced_and_stable(self, hypothesis):
+        st = hypothesis.strategies
+
+        @_property_settings(hypothesis)
+        @hypothesis.given(st.data())
+        def check(data):
+            k = data.draw(st.integers(2, 4))
+            ring = ring_k(k)
+            order = data.draw(_orders(st, k + 1))
+            coefficients = st.integers(-4, 4).filter(bool)
+            polys = st.dictionaries(
+                _monomials(st, k + 1, 3), coefficients, min_size=1, max_size=5
+            ).map(ring.poly)
+            # the closed-form basis, or arbitrary nonzero polynomials
+            G = data.draw(
+                st.one_of(
+                    st.just(list(generating_set(k, ring).G)),
+                    st.lists(polys, min_size=1, max_size=3),
+                )
+            )
+            f = data.draw(polys)
+            r = reduce(f, G, order)
+            lts = [leading_term(g, order)[0] for g in G]
+            for m in r.terms:
+                assert not any(all(a <= b for a, b in zip(lt, m)) for lt in lts)
+            assert reduce(r, G, order) == r
+
+        check()
+
+
 class TestSPolynomial:
     def test_self_pair_vanishes(self):
         ring = ring_k(3)

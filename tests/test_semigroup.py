@@ -221,6 +221,12 @@ class TestApery:
         with pytest.warns(CapTooSmall):
             apery_bruteforce(example_one, cap=1)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_rejected(self, example_two, cap):
+        # a cap below 1 enumerates nothing; it must not pass for an empty set
+        with pytest.raises(ValueError, match=f"apery cap must be at least 1, got {cap}"):
+            apery_bruteforce(example_two, cap=cap)
+
     def test_monotone_in_cap(self, example_two):
         small = apery_bruteforce(example_two, cap=2).elements
         big = apery_bruteforce(example_two, cap=8).elements
