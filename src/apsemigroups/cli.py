@@ -18,25 +18,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional
 
 from .closed_forms import (
-    apery_extended,
+    _STORED_K,
+    _closed_form_apery,
+    _ideal_generators,
     extended_betti,
-    generating_set,
     gluing_data,
     hilbert_numerator,
     regularity,
     resolution,
 )
-from .errors import FamilyError, UnsupportedK
+from .errors import CapTooSmall, FamilyError
 from .lattice import Vec2
 from .polynomials import Polynomial, buchberger, family_ring, grevlex
 from .semigroup import (
     SemigroupFamily,
     apery_bruteforce,
-    apery_closed_form,
     build_family,
     cm_type,
     quasi_frobenius,
@@ -84,7 +85,7 @@ def _family_section(f: SemigroupFamily) -> dict:
 def _apery_routes(f: SemigroupFamily, cap: Optional[int]):
     """The closed-form and brute-force Apery sets, and the reconciliation
     note when they differ (else None)."""
-    closed = apery_extended(f) if f.is_extended else apery_closed_form(f)
+    closed = _closed_form_apery(f)
     brute = apery_bruteforce(f, cap=cap)
     return closed, brute, None if closed.elements == brute.elements else _RECONCILIATION
 
@@ -103,9 +104,7 @@ def _apery_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
 
 def _ideal_section(f: SemigroupFamily, with_groebner: bool) -> dict:
     ring = family_ring(f)
-    gens = list(generating_set(f.k, ring).G)
-    if f.is_extended:
-        gens.append(gluing_data(f).extra_generator)
+    gens = _ideal_generators(f, ring)
     out = {"generators": [_jpoly(g) for g in gens], "mu": len(gens)}
     if with_groebner:
         gb = buchberger(gens, grevlex(ring.nvars))
@@ -146,10 +145,8 @@ def _extension_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
     }
     if note:
         out["reconciliation"] = note
-    try:
+    if f.k in _STORED_K:
         out["betti"] = list(extended_betti(f.k))
-    except UnsupportedK:
-        pass
     return out
 
 
@@ -287,7 +284,7 @@ def _report_doc(f, args) -> tuple[dict, Report]:
     doc["cm_type"] = cm_type(f)
     doc["flags"] = report.flags
     doc["ideal"] = _ideal_section(f, with_groebner=True)
-    if f.k in (2, 3, 4):
+    if f.k in _STORED_K:
         doc["hilbert"] = _hilbert_section(f)
         if not f.is_extended:
             doc["resolution"] = _resolution_section(f)
@@ -329,15 +326,22 @@ def main(argv=None) -> int:
         _add_family_args(p, name)
 
     args = parser.parse_args(argv)
-    report = None
-    try:
-        f = _build(args)
-        if args.command in _SECTIONS:
-            doc = {"family": _family_section(f), **_SECTIONS[args.command](f)}
-        else:
-            doc, report = _report_doc(f, args)
-    except (FamilyError, UnsupportedK, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = error = None
+    # CapTooSmall is recorded, not shown, so one two checks share prints once per call
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CapTooSmall)
+        try:
+            f = _build(args)
+            if args.command in _SECTIONS:
+                doc = {"family": _family_section(f), **_SECTIONS[args.command](f)}
+            else:
+                doc, report = _report_doc(f, args)
+        except ValueError as exc:
+            error = exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 2
 
     if args.format == "json":

@@ -28,6 +28,9 @@ from .semigroup import (
     extremal_rays,
 )
 
+# The paper gives resolutions and Hilbert series for these k only (the rest for all k).
+_STORED_K = (2, 3, 4)
+
 # ---------------------------------------------------------------------------
 # the binomial generating set
 
@@ -48,6 +51,22 @@ def _pair_binomial(ring: PolynomialRing, lead: tuple[int, int], tail: tuple[int,
     return ring.binomial(_pair_mono(ring, *lead), _pair_mono(ring, *tail))
 
 
+def _xi_blocks(ell: int, k: int, ring: PolynomialRing):
+    """xi_family(ell, k) as (block, binomial) pairs: B4 and B5 when
+    2*ell > k+1 (square, rest), else B1, B2 and B3 (square, tails from x_1,
+    tails through x_{k+1}). The blocks B1..B5 partition the generating set."""
+    if 2 * ell > k + 1:
+        yield "B4", _pair_binomial(ring, (ell, ell), (2 * ell - k - 1, k + 1))
+        for i in range(1, k - ell + 1):
+            yield "B5", _pair_binomial(ring, (ell, ell + i), (2 * ell - k - 1 + i, k + 1))
+    else:
+        yield "B1", _pair_binomial(ring, (ell, ell), (1, 2 * ell - 1))
+        for i in range(1, k - 2 * ell + 3):
+            yield "B2", _pair_binomial(ring, (ell, ell + i), (1, 2 * ell - 1 + i))
+        for i in range(k - 2 * ell + 3, k - ell + 1):
+            yield "B3", _pair_binomial(ring, (ell, ell + i), (2 * ell - k - 1 + i, k + 1))
+
+
 def xi_family(ell: int, k: int, ring: Optional[PolynomialRing] = None) -> list[Polynomial]:
     """The quadratic binomials indexed by ell, for 2 <= ell <= k.
 
@@ -58,18 +77,7 @@ def xi_family(ell: int, k: int, ring: Optional[PolynomialRing] = None) -> list[P
         raise BadIndex(f"ell must lie in [2, {k}], got {ell}")
     if ring is None:
         ring = progression_ring(k)
-    out = []
-    if 2 * ell > k + 1:
-        out.append(_pair_binomial(ring, (ell, ell), (2 * ell - k - 1, k + 1)))
-        for i in range(1, k - ell + 1):
-            out.append(_pair_binomial(ring, (ell, ell + i), (2 * ell - k - 1 + i, k + 1)))
-    else:
-        out.append(_pair_binomial(ring, (ell, ell), (1, 2 * ell - 1)))
-        for i in range(1, k - 2 * ell + 3):
-            out.append(_pair_binomial(ring, (ell, ell + i), (1, 2 * ell - 1 + i)))
-        for i in range(k - 2 * ell + 3, k - ell + 1):
-            out.append(_pair_binomial(ring, (ell, ell + i), (2 * ell - k - 1 + i, k + 1)))
-    return out
+    return [binomial for _, binomial in _xi_blocks(ell, k, ring)]
 
 
 @dataclass(frozen=True)
@@ -102,15 +110,8 @@ def gb_partition(k: int, ring: Optional[PolynomialRing] = None) -> dict[str, lis
         ring = progression_ring(k)
     parts: dict[str, list[Polynomial]] = {name: [] for name in ("B1", "B2", "B3", "B4", "B5")}
     for ell in range(2, k + 1):
-        binomials = xi_family(ell, k, ring)
-        if 2 * ell > k + 1:
-            parts["B4"].append(binomials[0])
-            parts["B5"].extend(binomials[1:])
-        else:
-            parts["B1"].append(binomials[0])
-            n_b2 = k - 2 * ell + 2
-            parts["B2"].extend(binomials[1 : 1 + n_b2])
-            parts["B3"].extend(binomials[1 + n_b2 :])
+        for block, binomial in _xi_blocks(ell, k, ring):
+            parts[block].append(binomial)
     return parts
 
 
@@ -119,9 +120,15 @@ def extended_generating_set(f: SemigroupFamily) -> list[Polynomial]:
     embedded in the ring with y, plus y^mu - x^lambda."""
     if not f.is_extended:
         raise ValueError("family has no extension")
-    ring = family_ring(f)
-    base = list(generating_set(f.k, ring).G)
-    return base + [gluing_data(f).extra_generator]
+    return _ideal_generators(f, family_ring(f))
+
+
+def _ideal_generators(f: SemigroupFamily, ring: PolynomialRing) -> list[Polynomial]:
+    """The base generating set in `ring`, then y^mu - x^lambda when glued."""
+    gens = list(generating_set(f.k, ring).G)
+    if f.is_extended:
+        gens.append(gluing_data(f).extra_generator)
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +182,17 @@ def _column_degrees(
     return tuple(out)
 
 
+def _degree_chain(maps, start, degree: Callable[[Polynomial], object]):
+    """The column degrees of each map of a complex in turn, the first map's
+    one row having degree `start` and each later map's rows the last map's."""
+    row_degrees = (start,)
+    for matrix in maps:
+        row_degrees = _column_degrees(matrix, row_degrees, degree)
+        yield row_degrees
+
+
 def _resolution_matrices(k: int, ring: PolynomialRing):
+    """The matrices delta_1, delta_2, ... for a k in _STORED_K."""
     x = [None] + [ring.var(i) for i in range(ring.nvars)]  # 1-indexed
     z = ring.zero()
     if k == 2:
@@ -227,7 +244,6 @@ def _resolution_matrices(k: int, ring: PolynomialRing):
             (z, -x[1], x[2]),
         )
         return (delta1, delta2, delta3)
-    raise UnsupportedK(f"no stored resolution for k = {k}")
 
 
 def resolution(f: SemigroupFamily) -> GradedResolution:
@@ -236,24 +252,19 @@ def resolution(f: SemigroupFamily) -> GradedResolution:
     if f.is_extended:
         raise ValueError("resolutions are stored for base families only")
     k = f.k
-    if k not in (2, 3, 4):
+    if k not in _STORED_K:
         raise UnsupportedK(f"no stored resolution for k = {k}")
     ring = progression_ring(k)
     grading = family_grading(f)
     maps = _resolution_matrices(k, ring)
-    col_degs = []
-    row_degrees: tuple[Vec2, ...] = (Vec2(0, 0),)
-    for matrix in maps:
-        degs = _column_degrees(matrix, row_degrees, lambda p: s_degree(p, grading))
-        col_degs.append(degs)
-        row_degrees = degs
+    col_degs = tuple(_degree_chain(maps, Vec2(0, 0), lambda p: s_degree(p, grading)))
     betti = (1,) + tuple(len(d) for d in col_degs)
     shifts = (((1, Vec2(0, 0)),),) + tuple(_aggregate(d) for d in col_degs)
     return GradedResolution(
         k=k,
         betti=betti,
         maps=maps,
-        column_degrees=tuple(col_degs),
+        column_degrees=col_degs,
         shifts=shifts,
         grading=grading,
     )
@@ -285,7 +296,7 @@ def hilbert_numerator(f: SemigroupFamily) -> HilbertSeriesForm:
     is Ap(S_base, E) + {0, b, ..., (mu-1)b}, so the numerator is the base
     one times (1 - t^(mu*b)), matching the one-step mapping cone.
     """
-    if f.k not in (2, 3, 4):
+    if f.k not in _STORED_K:
         raise UnsupportedK(f"no closed-form numerator for k = {f.k}")
     num = dict.fromkeys(_closed_form_apery_elements(f), 1)
     for g in f.generators[1:-1] + ((f.extension,) if f.is_extended else ()):
@@ -322,12 +333,8 @@ def regularity(f: SemigroupFamily) -> int:
 def regularity_from_resolution(f: SemigroupFamily) -> int:
     """max over i of (largest standard degree of the i-th syzygies of the
     ideal minus i), read off the stored resolution (k = 2, 3, 4)."""
-    degrees: tuple[int, ...] = (0,)
-    reg = 0
-    for idx, matrix in enumerate(resolution(f).maps):
-        degrees = _column_degrees(matrix, degrees, Polynomial.total_degree)
-        reg = max(reg, max(degrees) - idx)
-    return reg
+    chain = _degree_chain(resolution(f).maps, 0, Polynomial.total_degree)
+    return max(max(degrees) - idx for idx, degrees in enumerate(chain))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +373,11 @@ def apery_extended(f: SemigroupFamily) -> AperySet:
     return AperySet(base=extremal_rays(f), elements=_closed_form_apery_elements(f))
 
 
+def _closed_form_apery(f: SemigroupFamily) -> AperySet:
+    """The closed-form Apery set of a base or a glued family."""
+    return apery_extended(f) if f.is_extended else apery_closed_form(f)
+
+
 def qf_extended(f: SemigroupFamily) -> frozenset[Vec2]:
     """Closed-form quasi-Frobenius set of the glued family."""
     if not f.is_extended:
@@ -380,6 +392,6 @@ _EXTENDED_BETTI = {2: (1, 2, 1), 3: (1, 4, 5, 2), 4: (1, 7, 14, 11, 3)}
 def extended_betti(k: int) -> tuple[int, ...]:
     """Betti numbers of the glued family ring, transcribed from the printed
     mapping-cone complexes (k = 2, 3, 4)."""
-    if k not in _EXTENDED_BETTI:
+    if k not in _STORED_K:
         raise UnsupportedK(f"no stored extended Betti numbers for k = {k}")
     return _EXTENDED_BETTI[k]

@@ -226,6 +226,8 @@ def build_family(
     """Validate (a, d, k[, b]) and return the family, checking every invariant."""
     if k < 2:
         raise FamilyError(f"k must be at least 2, got {k}")
+    if mu_bound < 1:
+        raise FamilyError(f"mu bound must be at least 1, got {mu_bound}")
     for name, v in (("a", a), ("d", d)):
         if not v.is_nonnegative():
             raise FamilyError(f"{name} = {v} must lie in N^2")
@@ -331,7 +333,8 @@ def apery_bruteforce(
             CapTooSmall(
                 f"Apery candidates found at enumeration depth {cap}; "
                 "rerun with a larger cap to be sure the set is complete"
-            )
+            ),
+            stacklevel=2,
         )
     return AperySet(base=rays, elements=frozenset(elements))
 

@@ -17,14 +17,15 @@ from operator import add
 from typing import Optional
 
 from .closed_forms import (
+    _STORED_K,
     GradedResolution,
     HilbertSeriesForm,
     _aggregate,
-    _column_degrees,
-    apery_extended,
+    _closed_form_apery,
+    _degree_chain,
+    _ideal_generators,
     extended_betti,
     extended_generating_set,
-    generating_set,
     gluing_data,
     hilbert_numerator,
     progression_ring,
@@ -53,7 +54,6 @@ from .polynomials import (
 from .semigroup import (
     SemigroupFamily,
     apery_bruteforce,
-    apery_closed_form,
     cm_type,
     degree_in_rays,
     is_cohen_macaulay,
@@ -360,14 +360,12 @@ def complex_check(res: GradedResolution) -> tuple[bool, Optional[str]]:
 
     # Recompute the column degrees independently and compare with the stored
     # shift lists.
-    row_degrees: tuple[Vec2, ...] = (Vec2(0, 0),)
-    for idx, matrix in enumerate(res.maps):
-        degs = _column_degrees(matrix, row_degrees, lambda p: s_degree(p, res.grading))
+    chain = _degree_chain(res.maps, Vec2(0, 0), lambda p: s_degree(p, res.grading))
+    for idx, degs in enumerate(chain):
         if degs != res.column_degrees[idx]:
             return False, f"map {idx + 1} column degrees disagree with stored shifts"
         if _aggregate(degs) != res.shifts[idx + 1]:
             return False, f"shift multiset C_{idx + 1} disagrees with the matrices"
-        row_degrees = degs
 
     for name, map_idx, rows, cols, expected in _named_minors(res.k):
         matrix = res.maps[map_idx]
@@ -393,15 +391,9 @@ def gastinger_check(f: SemigroupFamily, gens=None) -> tuple[bool, Optional[str]]
     """
     ring = family_ring(f)
     grading = family_grading(f)
-    if f.is_extended:
-        expected = f.k * f.extension_mu
-    else:
-        expected = f.k
+    expected = f.k * (f.extension_mu or 1)
     if gens is None:
-        if f.is_extended:
-            gens = extended_generating_set(f)
-        else:
-            gens = list(generating_set(f.k, ring).G)
+        gens = extended_generating_set(f) if f.is_extended else _ideal_generators(f, ring)
     for g in gens:
         if not vanishes_under_degree_map(g, grading):
             return False, f"{g} does not vanish under the degree map"
@@ -429,7 +421,8 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
     """
     opts = options or VerifyOptions()
     box = opts.box or default_box(f)
-    truncation = opts.include_truncation and f.k in (2, 3, 4)
+    stored = f.k in _STORED_K
+    truncation = opts.include_truncation and stored
     cells = (box.cap_x + 1) * (box.cap_y + 1)
     if truncation and cells > _BOX_CELL_BUDGET:
         raise BoxTooLarge(
@@ -442,11 +435,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
     # Apery: closed form against the brute-force definition.
     @_check("apery_closed_vs_bruteforce")
     def apery_cmp():
-        closed = (
-            apery_extended(f).elements
-            if f.is_extended
-            else apery_closed_form(f).elements
-        )
+        closed = _closed_form_apery(f).elements
         brute = apery_bruteforce(f, cap=opts.apery_cap).elements
         if closed == brute:
             return True, None
@@ -508,8 +497,8 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
     # Defining ideal: Groebner claim and idempotence of completion.
     ring = family_ring(f)
     order = grevlex(ring.nvars)
-    base_gens = list(generating_set(f.k, ring).G)
-    gens = base_gens + ([gluing_data(f).extra_generator] if f.is_extended else [])
+    gens = _ideal_generators(f, ring)
+    base_gens = gens[:-1] if f.is_extended else gens
 
     @_check("leading_terms_are_middle_products")
     def middle_leading_terms():
@@ -551,63 +540,53 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
 
     checks.append(gastinger_check(f))
 
-    # Hilbert series, resolution, regularity: stored closed forms for k <= 4.
-    if f.k in (2, 3, 4):
-        if truncation:
-            form = hilbert_numerator(f)
-            checks.append(hilbert_truncation_check(f, form, box))
-        if not f.is_extended:
-            res = resolution(f)
-            checks.append(complex_check(res))
+    # Hilbert series and resolution: stored for k in _STORED_K; regularity: every k.
+    if truncation:
+        checks.append(hilbert_truncation_check(f, hilbert_numerator(f), box))
+    if stored and not f.is_extended:
+        res = resolution(f)
+        checks.append(complex_check(res))
 
-            @_check("numerator_equals_shift_sum")
-            def numerator_matches_shifts():
-                acc: dict[Vec2, int] = {}
-                for i, layer in enumerate(res.shifts):
-                    sign = 1 if i % 2 == 0 else -1
-                    for mult, deg in layer:
-                        acc[deg] = acc.get(deg, 0) + sign * mult
-                acc = {deg: c for deg, c in acc.items() if c}
-                same = acc == hilbert_numerator(f).numerator_dict()
-                return same, None if same else "alternating shift sum != numerator"
+        @_check("numerator_equals_shift_sum")
+        def numerator_matches_shifts():
+            acc: dict[Vec2, int] = {}
+            for i, layer in enumerate(res.shifts):
+                sign = 1 if i % 2 == 0 else -1
+                for mult, deg in layer:
+                    acc[deg] = acc.get(deg, 0) + sign * mult
+            acc = {deg: c for deg, c in acc.items() if c}
+            same = acc == hilbert_numerator(f).numerator_dict()
+            return same, None if same else "alternating shift sum != numerator"
 
-            checks.append(numerator_matches_shifts())
+        checks.append(numerator_matches_shifts())
 
-            @_check("regularity_is_2")
-            def regularity_agreement():
-                by_apery = regularity(f)
-                by_res = regularity_from_resolution(f)
-                ok = by_apery == by_res == 2
-                return ok, None if ok else f"apery {by_apery}, resolution {by_res}"
-
-            checks.append(regularity_agreement())
-        else:
-
-            @_check("extended_betti_match_mapping_cone")
-            def cone_betti():
-                base = resolution(
-                    SemigroupFamily(f.a, f.d, f.k, f.generators)
-                ).betti
-                cone = tuple(
-                    (base[i] if i < len(base) else 0)
-                    + (base[i - 1] if i >= 1 else 0)
-                    for i in range(len(base) + 1)
-                )
-                stored = extended_betti(f.k)
-                return (
-                    cone == stored,
-                    None if cone == stored else f"cone {cone} != stored {stored}",
-                )
-
-            checks.append(cone_betti())
-    elif not f.is_extended:
+    if not f.is_extended:
 
         @_check("regularity_is_2")
-        def regularity_generic():
-            val = regularity(f)
-            return val == 2, None if val == 2 else f"regularity {val}"
+        def regularity_agreement():
+            by_route = {"apery": regularity(f)}
+            if stored:
+                by_route["resolution"] = regularity_from_resolution(f)
+            ok = set(by_route.values()) == {2}
+            return ok, None if ok else ", ".join(f"{r} {v}" for r, v in by_route.items())
 
-        checks.append(regularity_generic())
+        checks.append(regularity_agreement())
+
+    if stored and f.is_extended:
+
+        @_check("extended_betti_match_mapping_cone")
+        def cone_betti():
+            base = resolution(SemigroupFamily(f.a, f.d, f.k, f.generators)).betti
+            cone = tuple(
+                (base[i] if i < len(base) else 0)
+                + (base[i - 1] if i >= 1 else 0)
+                for i in range(len(base) + 1)
+            )
+            stored_betti = extended_betti(f.k)
+            same = cone == stored_betti
+            return same, None if same else f"cone {cone} != stored {stored_betti}"
+
+        checks.append(cone_betti())
 
     if f.is_extended:
 

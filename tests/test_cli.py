@@ -179,6 +179,36 @@ class TestOtherCommands:
         assert code == 2
         assert "multiple" in err
 
+    @pytest.mark.parametrize(
+        "command, glue", [("analyze", []), ("analyze", ["--b", "9,11"]), ("extend", ["--b", "9,11"])]
+    )
+    @pytest.mark.parametrize("bound", ["0", "-4"])
+    def test_mu_bound_below_one_exit_2(self, capsys, command, glue, bound):
+        code, out, err = run(
+            capsys,
+            [command, "--a", "2,3", "--d", "2,2", "--k", "3", *glue, "--mu-bound", bound],
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: mu bound must be at least 1, got {bound}\n"
+
+    @pytest.mark.parametrize(
+        "family, sections",
+        [
+            (["--a", "5,4", "--d", "4,9", "--k", "4"], {"hilbert", "resolution", "regularity"}),
+            (["--a", "5,4", "--d", "4,9", "--k", "5"], {"regularity"}),
+            (["--a", "2,3", "--d", "2,2", "--k", "4", "--b", "3,4"], {"hilbert", "extension.betti"}),
+            (["--a", "2,3", "--d", "2,2", "--k", "5", "--b", "3,4"], set()),
+        ],
+    )
+    def test_analyze_sections_follow_the_stored_k(self, capsys, family, sections):
+        # resolutions and Hilbert numerators are stored for k = 2, 3, 4 only
+        code, doc, _ = run_json(capsys, ["analyze", *family])
+        assert code == 0
+        present = {key for key in ("hilbert", "resolution", "regularity") if key in doc}
+        if "betti" in doc.get("extension", {}):
+            present.add("extension.betti")
+        assert present == sections
+
 
 class TestDeterminism:
     def test_json_round_trip_is_byte_identical(self, capsys):
@@ -218,6 +248,18 @@ class TestAperyCap:
         assert code == 2
         assert out == ""
         assert f"apery cap must be at least 1, got {cap}" in err
+
+    def test_cap_too_small_warns_once_on_every_call(self, capsys):
+        # the report's check and both Apery sections hit the cap
+        argv = ["analyze", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11",
+                "--apery-cap", "1"]
+        warning = (
+            "warning: Apery candidates found at enumeration depth 1; "
+            "rerun with a larger cap to be sure the set is complete\n"
+        )
+        for _ in range(2):
+            code, _, err = run(capsys, argv)
+            assert (code, err) == (1, warning)
 
 
 COMMANDS = ("analyze", "ideal", "groebner", "hilbert", "resolution", "extend", "verify")

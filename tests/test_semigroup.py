@@ -22,6 +22,7 @@ from apsemigroups import (
     member_certificate,
     quasi_frobenius,
 )
+from apsemigroups import semigroup
 from conftest import random_extended_family, random_family
 
 
@@ -65,6 +66,14 @@ class TestBuildFamily:
         # every element of the base semigroup has y > x, so (1,0) never works
         with pytest.raises(BadExtension):
             build_family(Vec2(2, 3), Vec2(2, 2), 3, Vec2(1, 0), mu_bound=16)
+
+    @pytest.mark.parametrize("b", [None, Vec2(9, 11)])
+    @pytest.mark.parametrize("bound", [0, -4])
+    def test_mu_bound_below_one_rejected(self, monkeypatch, b, bound):
+        # rejected as a bound, before any membership search runs
+        monkeypatch.setattr(semigroup, "member_certificate", None)
+        with pytest.raises(FamilyError, match=f"^mu bound must be at least 1, got {bound}$"):
+            build_family(Vec2(2, 3), Vec2(2, 2), 3, b, mu_bound=bound)
 
     def test_extension_without_qualifying_representation(self):
         # 2b = a+d is the only representation, and it avoids both rays
@@ -218,8 +227,10 @@ class TestApery:
             apery_bruteforce(example_one, E=[Vec2(1, 1)])
 
     def test_cap_too_small_advisory(self, example_one):
-        with pytest.warns(CapTooSmall):
+        with pytest.warns(CapTooSmall) as record:
             apery_bruteforce(example_one, cap=1)
+        # the warning names the caller's line, not the package's
+        assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one_rejected(self, example_two, cap):

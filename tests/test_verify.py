@@ -355,6 +355,70 @@ class TestFullReport:
             assert report.flags["cohen_macaulay"] is True
 
 
+HEAD = [
+    "apery_closed_vs_bruteforce",
+    "cm_type_is_k_minus_1",
+    "cohen_macaulay",
+    "gorenstein_iff_k_is_2",
+]
+IDEAL = [
+    "apery_elements_have_ray_degree_1",
+    "leading_terms_are_middle_products",
+    "generating_set_is_groebner",
+    "buchberger_adds_nothing",
+    "ideal_equals_toric_kernel",
+    "gastinger",
+]
+# family -> every check name full_report gives it, in order, with the toric
+# and truncation oracles on; k = 5 has no stored resolution or numerator
+FULL_CHECKS = {
+    (Vec2(5, 4), Vec2(4, 9), 3, None): HEAD
+    + ["normality_of_base_family", *IDEAL, "hilbert_truncation", "complex_check"]
+    + ["numerator_equals_shift_sum", "regularity_is_2"],
+    (Vec2(5, 4), Vec2(4, 9), 5, None): HEAD
+    + ["normality_of_base_family", *IDEAL, "regularity_is_2"],
+    (Vec2(2, 3), Vec2(2, 2), 2, Vec2(3, 4)): HEAD
+    + [*IDEAL, "hilbert_truncation", "extended_betti_match_mapping_cone"]
+    + ["gluing_consistency"],
+    (Vec2(2, 3), Vec2(2, 2), 5, Vec2(3, 4)): HEAD + [*IDEAL, "gluing_consistency"],
+}
+# the toric oracle takes about 2 s at k = 5, so it runs there once
+SHAPES = [
+    (params, toric, truncation)
+    for params in FULL_CHECKS
+    for toric in (True, False)
+    for truncation in (True, False)
+    if params[2] < 5 or not toric or truncation
+]
+
+
+class TestReportShape:
+    @pytest.mark.parametrize("params, toric, truncation", SHAPES)
+    def test_ordered_check_names(self, params, toric, truncation):
+        report = full_report(
+            build_family(*params),
+            VerifyOptions(include_toric=toric, include_truncation=truncation),
+        )
+        dropped = {
+            "ideal_equals_toric_kernel": not toric,
+            "hilbert_truncation": not truncation,
+        }
+        expected = [name for name in FULL_CHECKS[params] if not dropped.get(name)]
+        assert [c.name for c in report.checks] == expected
+        assert report.ok
+
+    @pytest.mark.parametrize("k, witness", [(3, "apery 3, resolution 2"), (5, "apery 3")])
+    def test_regularity_witness_names_each_route_taken(self, monkeypatch, k, witness):
+        # the resolution route exists only where a resolution is stored
+        monkeypatch.setattr(verify, "regularity", lambda f: 3)
+        report = full_report(
+            build_family(Vec2(5, 4), Vec2(4, 9), k),
+            VerifyOptions(include_toric=False, include_truncation=False),
+        )
+        (check,) = [c for c in report.checks if c.name == "regularity_is_2"]
+        assert (check.passed, check.witness) == (False, witness)
+
+
 class TestBoxBudget:
     @pytest.fixture
     def no_box_oracles(self, monkeypatch):
