@@ -8,15 +8,21 @@ with deterministic reducer selection, Buchberger's completion with the
 coprime-pair skip, and elimination-based toric kernels.
 
 Each order compiles its key function once, when it is built, from
-`operator.itemgetter` over its precedence. Buchberger's pairs carry the lcm
-of their leading monomials from the moment they are created, so selecting
-the next pair only computes its key.
+`operator.itemgetter` over its precedence, and memoises it per order in a
+bounded `functools.lru_cache`. Buchberger's pairs carry the lcm of their
+leading monomials from the moment they are created, and the next pair is the
+minimum of `zip(keys, pairs)`, scanned at C level. `MonomialOrder.key` is
+still called once per pair per scan, and once per term in every
+`leading_term` and `reduce` step: `perfbench/counts.json` pins that count,
+and the memo makes each call cheaper without removing one. Cutting the calls
+themselves (a heap of pairs) waits for ROADMAP item 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, ge, itemgetter, le, neg, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -28,6 +34,11 @@ Mono = tuple[int, ...]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+# Entries per order in the key memo. Orders in _DISPLAY_CACHE live as long as
+# the process, so the memo is bounded; the largest one measured on the
+# package's own workloads held 3,563 keys (analyze at k = 14).
+_KEY_MEMO_BOUND = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +282,9 @@ class MonomialOrder:
     kind "elim": the first `block` precedence variables dominate; both blocks
     are compared by grevlex, so it eliminates the leading block.
 
-    The key function is compiled once, when the order is built; an unknown
-    kind raises ValueError then.
+    The key function is compiled once, when the order is built, and memoised
+    per order (at most _KEY_MEMO_BOUND monomials); an unknown kind raises
+    ValueError then. The memo takes no part in equality or hashing.
     """
 
     kind: str
@@ -295,7 +307,9 @@ class MonomialOrder:
 
         else:
             raise ValueError(f"unknown order kind {self.kind!r}")
-        object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(
+            self, "_compiled", lru_cache(maxsize=_KEY_MEMO_BOUND)(compiled)
+        )
 
     def key(self, m: Mono):
         return self._compiled(m)
@@ -441,7 +455,8 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasi
         for j in range(i + 1, len(G))
     }
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(pairs[p]), p))
+        # smallest (key, pair): the pair index breaks ties between equal keys
+        _, (i, j) = min(zip(map(order.key, pairs.values()), pairs))
         del pairs[i, j]
         if mono_coprime(lms[i], lms[j]):
             continue

@@ -3,6 +3,7 @@ extensions of them.
 
 Membership is decided by an exact depth-first search memoized on the residual
 vector; it terminates because every generator has positive coordinate sum.
+The search works on plain (x, y) int pairs, and its memo is keyed by them.
 A memo entry depends only on the residual and the generator tuple, so callers
 that test many targets over one tuple share one memo dict across those calls
 (never across tuples, and never module-wide).
@@ -87,24 +88,26 @@ class Witnessed:
 def member_certificate(
     generators: Iterable[Vec2],
     target: Vec2,
-    memo: Optional[dict[Vec2, int]] = None,
+    memo: Optional[dict[tuple[int, int], int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Nonnegative coefficients c with sum(c_i * g_i) == target, or None.
 
     Exact and total: a None answer means the finite residual search space was
     exhausted.
 
-    `memo` maps a residual u to the first generator index i for which
-    u - g_i is zero or a member, or to -1 when u is not a member. That depends
-    only on u and the generators, so a caller may pass one dict to every call
-    over the same generator tuple, in any order, and get the certificate a
-    fresh search gives. It must never be shared across different tuples.
+    `memo` maps a residual u, as the int pair (u.x, u.y), to the first
+    generator index i for which u - g_i is zero or a member, or to -1 when u
+    is not a member. That depends only on u and the generators, so a caller
+    may pass one dict to every call over the same generator tuple, in any
+    order, and get the certificate a fresh search gives. It must never be
+    shared across different tuples.
     """
-    gens = tuple(generators)
+    gens = tuple((g.x, g.y) for g in generators)
     n = len(gens)
-    if not target.is_nonnegative():
+    tx, ty = target.x, target.y
+    if tx < 0 or ty < 0:
         return None
-    if target.is_zero():
+    if tx == 0 and ty == 0:
         return (0,) * n
 
     # memo[u]: index of a generator starting a representation of u, or
@@ -112,22 +115,27 @@ def member_certificate(
     # explicit DFS stack below always terminates.
     if memo is None:
         memo = {}
-    stack: list[list] = [[target, 0]]
+    top = (tx, ty)
+    stack: list[list] = [[top, 0]]
     while stack:
         frame = stack[-1]
         u, i = frame
         if u in memo:
             stack.pop()
             continue
+        ux, uy = u
         pushed = False
         decided = False
         while i < n:
-            w = u - gens[i]
-            if w.is_nonnegative():
-                if w.is_zero():
+            gx, gy = gens[i]
+            wx = ux - gx
+            wy = uy - gy
+            if wx >= 0 and wy >= 0:
+                if wx == 0 and wy == 0:
                     memo[u] = i
                     decided = True
                     break
+                w = (wx, wy)
                 state = memo.get(w, _UNSEEN)
                 if state is _UNSEEN:
                     frame[1] = i
@@ -145,14 +153,15 @@ def member_certificate(
             memo[u] = _NOT_MEMBER
         stack.pop()
 
-    if memo[target] == _NOT_MEMBER:
+    if memo[top] == _NOT_MEMBER:
         return None
     counts = [0] * n
-    u = target
-    while not u.is_zero():
-        i = memo[u]
+    while tx or ty:
+        i = memo[tx, ty]
         counts[i] += 1
-        u = u - gens[i]
+        gx, gy = gens[i]
+        tx -= gx
+        ty -= gy
     return tuple(counts)
 
 
@@ -194,9 +203,18 @@ def _validate_extension(
 ) -> tuple[int, tuple[int, ...]]:
     if not (b.is_nonnegative() and not b.is_zero()):
         raise BadExtension(f"extension vector {b} must be a nonzero point of N^2")
-    memo: dict[Vec2, int] = {}
+    memo: dict[tuple[int, int], int] = {}
     if member_certificate(base_generators, b, memo) is not None:
         raise BadExtension(f"{b} already lies in the base semigroup")
+    # The base semigroup lies in the cone spanned by its extremal rays, and a
+    # multiple of b lies in that cone only when b does: a b outside it has no
+    # mu, whatever the bound, so stop before the loop.
+    r1, r2 = base_generators[0], base_generators[-1]
+    side = det(r1, r2)
+    if det(r1, b) * side < 0 or det(b, r2) * side < 0:
+        raise BadExtension(
+            f"extension vector {b} lies outside the cone spanned by {r1} and {r2}"
+        )
     mu = None
     for m in range(2, mu_bound + 1):
         if member_certificate(base_generators, m * b, memo) is not None:
@@ -302,7 +320,7 @@ def apery_bruteforce(
     gens = f.all_generators
     rays = E if E is not None else extremal_rays(f)
     rays = tuple(rays)
-    memo: dict[Vec2, int] = {}
+    memo: dict[tuple[int, int], int] = {}
     for e in rays:
         if e.is_zero():
             raise ValueError("Apery base elements must be nonzero")
@@ -341,7 +359,7 @@ def apery_bruteforce(
 
 def _max_by_divisibility(f: SemigroupFamily, elements: frozenset[Vec2]) -> list[Vec2]:
     gens = f.all_generators
-    memo: dict[Vec2, int] = {}
+    memo: dict[tuple[int, int], int] = {}
     maximal = []
     for m in elements:
         dominated = any(

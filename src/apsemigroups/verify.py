@@ -595,7 +595,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
             data = gluing_data(f)
             if not vanishes_under_degree_map(data.extra_generator, family_grading(f)):
                 return False, "glue binomial does not vanish under the degree map"
-            memo: dict[Vec2, int] = {}
+            memo: dict[tuple[int, int], int] = {}
             for m in range(1, data.mu):
                 if member_certificate(f.generators, m * f.extension, memo) is not None:
                     return False, f"{m}*b already lies in the base semigroup"

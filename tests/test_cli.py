@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -88,6 +89,22 @@ class TestExtend:
         )
         assert code == 2
         assert "already lies" in err
+
+    def test_extension_outside_the_cone_stops_fast(self, capsys):
+        # no multiple of (1,0) ever lies in the cone of (2,3) and (8,9), so
+        # the mu bound is never searched
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            ["extend", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "1,0",
+             "--mu-bound", "1000000"],
+        )
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: extension vector (1,0) lies outside the cone spanned by "
+            "(2,3) and (8,9)\n"
+        )
 
     def test_small_cap_fails_checks(self, capsys):
         code, out, _ = run(

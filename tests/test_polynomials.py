@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from apsemigroups import (
@@ -26,6 +28,7 @@ from apsemigroups import (
     toric_kernel,
     vanishes_under_degree_map,
 )
+from apsemigroups import polynomials
 from conftest import random_family
 
 
@@ -134,9 +137,40 @@ class TestCompiledKeys:
             MonomialOrder("deglex", (0, 1))
 
     def test_equality_and_hash_ignore_the_compiled_key(self):
-        assert grevlex(4) == grevlex(4)
-        assert hash(grevlex(4)) == hash(grevlex(4))
+        # one side's key memo is warm, the other's empty
+        warm = grevlex(4)
+        for m in itertools.product(range(3), repeat=4):
+            warm.key(m)
+        assert warm._compiled.cache_info().currsize == 81
+        assert warm == grevlex(4)
+        assert hash(warm) == hash(grevlex(4))
         assert grevlex(4) != lex_order(range(4))
+
+    def orders(self, rng):
+        prec = tuple(rng.sample(range(self.N), self.N))
+        return [
+            MonomialOrder("grevlex", prec),
+            MonomialOrder("lex", prec),
+            MonomialOrder("elim", prec, block=2),
+        ]
+
+    def test_warm_memo_gives_the_reference_key(self, rng):
+        for order in self.orders(rng):
+            monos = self.monomials(rng)
+            for _ in range(2):  # the second pass reads every key from the memo
+                for m in monos:
+                    assert order.key(m) == reference_key(order, m)
+
+    def test_evicted_keys_are_recomputed_exactly(self, rng):
+        bound = polynomials._KEY_MEMO_BOUND
+        monos = list(itertools.product(range(8), repeat=self.N))[: bound + 1000]
+        for order in self.orders(rng):
+            for m in monos:
+                assert order.key(m) == reference_key(order, m)
+            assert order._compiled.cache_info().currsize == bound
+            # the first monomials were evicted; they come back exact
+            for m in monos[:50]:
+                assert order.key(m) == reference_key(order, m)
 
     def test_key_is_looked_up_on_the_class(self):
         # instrumentation replaces MonomialOrder.key; an instance attribute
@@ -321,6 +355,30 @@ class TestBuchberger:
             ring.poly({(0, 1, 0): 1, (0, 0, 1): -1}),
         }
         assert set(out.elements) == expected
+
+    def test_equal_keys_are_taken_in_pair_order(self, monkeypatch):
+        # every pair below has lcm xy, so the pair indices alone decide; the
+        # S-pair (0, 2) adds x as element 3, and (0, 3) then precedes the
+        # older pair (1, 2). (1, 3) has coprime leading terms and is skipped.
+        ring = PolynomialRing(["x", "y", "z"])
+        xy, y, x = (ring.monomial(m) for m in [(1, 1, 0), (0, 1, 0), (1, 0, 0)])
+        taken = []
+        original = polynomials.s_polynomial
+
+        def spy(f, g, o):
+            taken.append((str(f), str(g)))
+            return original(f, g, o)
+
+        monkeypatch.setattr(polynomials, "s_polynomial", spy)
+        out = buchberger([xy, y, xy - x], grevlex(3))
+        assert taken == [
+            ("x*y", "y"),
+            ("x*y", "x*y - x"),
+            ("x*y", "x"),
+            ("y", "x*y - x"),
+            ("x*y - x", "x"),
+        ]
+        assert set(out.elements) == {x, y}
 
     def test_idempotent_and_verified(self, rng):
         ring = PolynomialRing(["x", "y", "z"])

@@ -10,6 +10,7 @@ from apsemigroups import (
     OutsideCone,
     SemigroupFamily,
     Vec2,
+    all_representations,
     apery_bruteforce,
     apery_closed_form,
     build_family,
@@ -66,6 +67,30 @@ class TestBuildFamily:
         # every element of the base semigroup has y > x, so (1,0) never works
         with pytest.raises(BadExtension):
             build_family(Vec2(2, 3), Vec2(2, 2), 3, Vec2(1, 0), mu_bound=16)
+
+    def test_extension_outside_the_cone_rejected_before_the_mu_search(self):
+        # (1,0) lies below the ray of (8,9); no bound makes a multiple fit
+        with pytest.raises(
+            BadExtension,
+            match=r"^extension vector \(1,0\) lies outside the cone spanned by "
+            r"\(2,3\) and \(8,9\)$",
+        ):
+            build_family(Vec2(2, 3), Vec2(2, 2), 3, Vec2(1, 0), mu_bound=10**12)
+
+    @pytest.mark.parametrize(
+        "b, mu, lam", [(Vec2(1, 2), 2, (1, 0, 0)), (Vec2(1, 1), 4, (0, 0, 1))]
+    )
+    def test_extension_on_a_boundary_ray_accepted(self, b, mu, lam):
+        # b lies on the ray of (2,4) or of (4,4), the edges of the cone
+        f = build_family(Vec2(2, 4), Vec2(1, 0), 2, b)
+        assert (f.extension_mu, f.extension_lambda) == (mu, lam)
+
+    def test_extension_on_a_boundary_ray_keeps_the_bound_message(self):
+        with pytest.raises(
+            BadExtension,
+            match=r"^no multiple of \(1,1\) up to 3\*\(1,1\) lies in the base semigroup$",
+        ):
+            build_family(Vec2(2, 4), Vec2(1, 0), 2, Vec2(1, 1), mu_bound=3)
 
     @pytest.mark.parametrize("b", [None, Vec2(9, 11)])
     @pytest.mark.parametrize("bound", [0, -4])
@@ -165,6 +190,90 @@ class TestMembership:
         assert len({id(m) for m in memos[first:]}) == 1
 
 
+def reference_member_certificate(generators, target, memo=None):
+    """The membership search as it ran on Vec2 residuals, memo keyed by Vec2."""
+    gens = tuple(generators)
+    n = len(gens)
+    if not target.is_nonnegative():
+        return None
+    if target.is_zero():
+        return (0,) * n
+    if memo is None:
+        memo = {}
+    unseen = object()
+    stack = [[target, 0]]
+    while stack:
+        frame = stack[-1]
+        u, i = frame
+        if u in memo:
+            stack.pop()
+            continue
+        pushed = False
+        decided = False
+        while i < n:
+            w = u - gens[i]
+            if w.is_nonnegative():
+                if w.is_zero():
+                    memo[u] = i
+                    decided = True
+                    break
+                state = memo.get(w, unseen)
+                if state is unseen:
+                    frame[1] = i
+                    stack.append([w, 0])
+                    pushed = True
+                    break
+                if state != -1:
+                    memo[u] = i
+                    decided = True
+                    break
+            i += 1
+        if pushed:
+            continue
+        if not decided:
+            memo[u] = -1
+        stack.pop()
+
+    if memo[target] == -1:
+        return None
+    counts = [0] * n
+    u = target
+    while not u.is_zero():
+        i = memo[u]
+        counts[i] += 1
+        u = u - gens[i]
+    return tuple(counts)
+
+
+class TestMembershipProperties:
+    def test_certificates_match_the_vec2_search(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        vectors = st.builds(Vec2, st.integers(0, 6), st.integers(0, 6))
+        generators = st.lists(
+            vectors.filter(lambda v: not v.is_zero()), min_size=1, max_size=5
+        ).map(tuple)
+        targets = st.lists(
+            st.builds(Vec2, st.integers(-2, 24), st.integers(-2, 24)),
+            min_size=1,
+            max_size=12,
+        )
+
+        @hypothesis.settings(
+            max_examples=150, derandomize=True, database=None, deadline=None
+        )
+        @hypothesis.given(generators, targets)
+        def check(gens, vs):
+            memo = {}
+            for v in vs:
+                expected = reference_member_certificate(gens, v)
+                assert member_certificate(gens, v) == expected
+                assert member_certificate(gens, v, memo) == expected
+                assert (expected is None) == (not all_representations(gens, v))
+
+        check()
+
+
 class TestExtremalRays:
     def test_showcase(self, example_one):
         assert extremal_rays(example_one) == (Vec2(5, 4), Vec2(17, 31))
@@ -239,7 +348,8 @@ class TestApery:
             apery_bruteforce(example_two, cap=cap)
 
     def test_monotone_in_cap(self, example_two):
-        small = apery_bruteforce(example_two, cap=2).elements
+        with pytest.warns(CapTooSmall, match="enumeration depth 2"):
+            small = apery_bruteforce(example_two, cap=2).elements
         big = apery_bruteforce(example_two, cap=8).elements
         assert small <= big
 
