@@ -41,7 +41,7 @@ from .errors import (
 )
 from .lattice import Vec2, det, in_lattice, ray_coordinates
 from .polynomials import (
-    GradingMap,
+    Grading,
     GroebnerBasis,
     MonomialOrder,
     Polynomial,

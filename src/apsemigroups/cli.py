@@ -7,7 +7,9 @@ run the brute-force Apery oracle; --box-x, --box-y and --skip-toric only
 verify, which runs the truncation and elimination oracles.
 
 Output is deterministic (no timings), text by default or canonical JSON with
---format json; integers beyond 2^53 are serialized as decimal strings so
+--format json. Section builders put points, exponent tuples and ints into the
+document as they are; one encoder, `_plain`, then turns it into JSON values
+for both renderers, with integers beyond 2^53 as decimal strings so
 non-arbitrary-precision consumers cannot lose digits.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 invalid input.
@@ -19,7 +21,6 @@ import argparse
 import json
 import sys
 import warnings
-from fractions import Fraction
 from typing import Optional
 
 from .closed_forms import (
@@ -51,34 +52,31 @@ _RECONCILIATION = (
 )
 
 
-def _jint(v: int):
-    return v if -_BIG < v < _BIG else str(v)
-
-
-def _jvec(v: Vec2) -> list:
-    return [_jint(v.x), _jint(v.y)]
+def _plain(v):
+    """The document as JSON values: tuples (points included) become lists and
+    ints beyond 2^53 their decimal strings; bools and None stay as they are."""
+    if isinstance(v, dict):
+        return {key: _plain(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if isinstance(v, int) and not isinstance(v, bool) and not -_BIG < v < _BIG:
+        return str(v)
+    return v
 
 
 def _jpoly(p: Polynomial) -> dict:
     order = grevlex(p.ring.nvars)
     terms = sorted(p.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-    out_terms = []
-    for mono, coeff in terms:
-        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        enc = _jint(int(c)) if c.denominator == 1 else str(c)
-        out_terms.append([enc, [_jint(e) for e in mono]])
-    return {"text": str(p), "terms": out_terms}
+    return {
+        "text": str(p),
+        "terms": [[int(c) if c.denominator == 1 else str(c), m] for m, c in terms],
+    }
 
 
 def _family_section(f: SemigroupFamily) -> dict:
-    out = {
-        "a": _jvec(f.a),
-        "d": _jvec(f.d),
-        "k": f.k,
-        "generators": [_jvec(g) for g in f.generators],
-    }
+    out = {"a": f.a, "d": f.d, "k": f.k, "generators": f.generators}
     if f.is_extended:
-        out["b"] = _jvec(f.extension)
+        out["b"] = f.extension
     return out
 
 
@@ -93,9 +91,9 @@ def _apery_routes(f: SemigroupFamily, cap: Optional[int]):
 def _apery_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
     closed, brute, note = _apery_routes(f, cap)
     out = {
-        "base": [_jvec(v) for v in closed.base],
-        "closed_form": [_jvec(v) for v in closed.sorted_elements()],
-        "bruteforce": [_jvec(v) for v in brute.sorted_elements()],
+        "base": closed.base,
+        "closed_form": closed.sorted_elements(),
+        "bruteforce": brute.sorted_elements(),
     }
     if note:
         out["reconciliation"] = note
@@ -115,38 +113,33 @@ def _ideal_section(f: SemigroupFamily, with_groebner: bool) -> dict:
 def _hilbert_section(f: SemigroupFamily) -> dict:
     form = hilbert_numerator(f)
     return {
-        "numerator_terms": [[_jint(c), _jvec(deg)] for c, deg in form.numerator],
-        "denominator": [_jvec(g) for g in form.denominator_factors],
+        "numerator_terms": form.numerator,
+        "denominator": form.denominator_factors,
     }
 
 
 def _resolution_section(f: SemigroupFamily) -> dict:
     res = resolution(f)
-    return {
-        "betti": list(res.betti),
-        "shifts": [
-            [[mult, _jvec(deg)] for mult, deg in layer] for layer in res.shifts
-        ],
-    }
+    return {"betti": res.betti, "shifts": res.shifts}
 
 
 def _extension_section(f: SemigroupFamily, cap: Optional[int]) -> dict:
     data = gluing_data(f)
     closed, brute, note = _apery_routes(f, cap)
     out = {
-        "b": _jvec(f.extension),
+        "b": f.extension,
         "mu": data.mu,
-        "lambda": [_jint(c) for c in data.lam],
-        "glue_degree": _jvec(data.glue_degree),
+        "lambda": data.lam,
+        "glue_degree": data.glue_degree,
         "extra_generator": _jpoly(data.extra_generator),
-        "apery": [_jvec(v) for v in closed.sorted_elements()],
-        "apery_bruteforce": [_jvec(v) for v in brute.sorted_elements()],
-        "qf": [_jvec(v) for v in sorted(quasi_frobenius(f))],
+        "apery": closed.sorted_elements(),
+        "apery_bruteforce": brute.sorted_elements(),
+        "qf": sorted(quasi_frobenius(f)),
     }
     if note:
         out["reconciliation"] = note
     if f.k in _STORED_K:
-        out["betti"] = list(extended_betti(f.k))
+        out["betti"] = extended_betti(f.k)
     return out
 
 
@@ -157,22 +150,30 @@ def _checks_section(report: Report) -> list:
     ]
 
 
+def _pt(v: list) -> str:
+    return f"({v[0]},{v[1]})"
+
+
+def _pts(vs: list) -> str:
+    return ", ".join(map(_pt, vs))
+
+
 def _render_text(doc: dict) -> str:
+    """The text report, read from the plain (already encoded) document."""
     lines = []
     fam = doc["family"]
-    gens = ", ".join(f"({g[0]},{g[1]})" for g in fam["generators"])
-    lines.append(f"family: a=({fam['a'][0]},{fam['a'][1]}) d=({fam['d'][0]},{fam['d'][1]}) k={fam['k']}")
-    lines.append(f"generators: {gens}")
+    lines.append(f"family: a={_pt(fam['a'])} d={_pt(fam['d'])} k={fam['k']}")
+    lines.append(f"generators: {_pts(fam['generators'])}")
     if "b" in fam:
-        lines.append(f"extension b: ({fam['b'][0]},{fam['b'][1]})")
+        lines.append(f"extension b: {_pt(fam['b'])}")
     if "apery" in doc:
         ap = doc["apery"]
-        lines.append("apery (closed form): " + ", ".join(f"({v[0]},{v[1]})" for v in ap["closed_form"]))
-        lines.append("apery (brute force): " + ", ".join(f"({v[0]},{v[1]})" for v in ap["bruteforce"]))
+        lines.append("apery (closed form): " + _pts(ap["closed_form"]))
+        lines.append("apery (brute force): " + _pts(ap["bruteforce"]))
         if "reconciliation" in ap:
             lines.append("note: " + ap["reconciliation"])
     if "qf" in doc:
-        lines.append("quasi-Frobenius: " + ", ".join(f"({v[0]},{v[1]})" for v in doc["qf"]))
+        lines.append("quasi-Frobenius: " + _pts(doc["qf"]))
     if "cm_type" in doc:
         lines.append(f"Cohen-Macaulay type: {doc['cm_type']}")
     if "flags" in doc:
@@ -193,16 +194,16 @@ def _render_text(doc: dict) -> str:
     if "hilbert" in doc:
         terms = doc["hilbert"]["numerator_terms"]
         body = " ".join(
-            f"{'+' if int(c) > 0 else '-'} {abs(int(c))}*t^({d[0]},{d[1]})"
+            f"{'+' if int(c) > 0 else '-'} {abs(int(c))}*t^{_pt(d)}"
             for c, d in terms
         )
         lines.append("hilbert numerator: " + body)
-        dens = " ".join(f"(1 - t^({g[0]},{g[1]}))" for g in doc["hilbert"]["denominator"])
+        dens = " ".join(f"(1 - t^{_pt(g)})" for g in doc["hilbert"]["denominator"])
         lines.append("hilbert denominator: " + dens)
     if "resolution" in doc:
         lines.append(f"betti numbers: {doc['resolution']['betti']}")
         for i, layer in enumerate(doc["resolution"]["shifts"]):
-            pretty = ", ".join(f"{m}x({d[0]},{d[1]})" for m, d in layer)
+            pretty = ", ".join(f"{m}x{_pt(d)}" for m, d in layer)
             lines.append(f"  C_{i}: {pretty}")
     if "regularity" in doc:
         lines.append(f"regularity of the ideal: {doc['regularity']}")
@@ -280,7 +281,7 @@ def _report_doc(f, args) -> tuple[dict, Report]:
     report = full_report(f, opts)
     doc = {"family": _family_section(f)}
     doc["apery"] = _apery_section(f, args.apery_cap)
-    doc["qf"] = [_jvec(v) for v in sorted(quasi_frobenius(f))]
+    doc["qf"] = sorted(quasi_frobenius(f))
     doc["cm_type"] = cm_type(f)
     doc["flags"] = report.flags
     doc["ideal"] = _ideal_section(f, with_groebner=True)
@@ -327,7 +328,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     report = error = None
-    # CapTooSmall is recorded, not shown, so one two checks share prints once per call
+    # CapTooSmall is recorded, not shown, so a message that several checks
+    # raise prints once per call
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", CapTooSmall)
         try:
@@ -344,6 +346,7 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
+    doc = _plain(doc)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 from .errors import BadIndex, NotHomogeneous, UnsupportedK
 from .lattice import Vec2
 from .polynomials import (
-    GradingMap,
+    Grading,
     Polynomial,
     PolynomialRing,
     family_grading,
@@ -147,11 +147,7 @@ class GradedResolution:
     maps: tuple[tuple[tuple[Polynomial, ...], ...], ...]
     column_degrees: tuple[tuple[Vec2, ...], ...]
     shifts: tuple[tuple[tuple[int, Vec2], ...], ...]
-    grading: GradingMap
-
-    @property
-    def length(self) -> int:
-        return len(self.maps)
+    grading: Grading
 
 
 def _aggregate(degrees: tuple[Vec2, ...]) -> tuple[tuple[int, Vec2], ...]:

@@ -1,16 +1,19 @@
 """Exact plane lattice arithmetic: Z^2 vectors, ray coordinates, lattice tests.
 
+A point is one value everywhere in the package: `Vec2` is the int pair
+(x, y) itself, a named tuple that hashes, sorts, unpacks and compares equal
+as that pair, with vector arithmetic on top.
+
 Everything is integer or Fraction; no floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Vec2:
+class Vec2(NamedTuple):
     """A point of Z^2 (callers enforce nonnegativity where N^2 is required)."""
 
     x: int
@@ -43,9 +46,6 @@ class Vec2:
     def dominates(self, other: "Vec2") -> bool:
         """Componentwise >=."""
         return self.x >= other.x and self.y >= other.y
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.x, self.y)
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"

@@ -507,26 +507,23 @@ def family_ring(f: SemigroupFamily) -> PolynomialRing:
     return PolynomialRing(names)
 
 
-@dataclass(frozen=True)
-class GradingMap:
-    """S-degrees of the ring variables (standard degree is 1 for each)."""
-
-    degrees: tuple[Vec2, ...]
+# The S-degree of each ring variable, in variable order: a family's generators.
+Grading = tuple[Vec2, ...]
 
 
-def family_grading(f: SemigroupFamily) -> GradingMap:
-    return GradingMap(degrees=f.all_generators)
+def family_grading(f: SemigroupFamily) -> Grading:
+    return f.all_generators
 
 
-def multidegree(m: Mono, grading: GradingMap) -> Vec2:
+def multidegree(m: Mono, grading: Grading) -> Vec2:
     out = Vec2(0, 0)
-    for e, deg in zip(m, grading.degrees):
+    for e, deg in zip(m, grading):
         if e:
             out = out + e * deg
     return out
 
 
-def s_degree(f: Polynomial, grading: GradingMap) -> Vec2:
+def s_degree(f: Polynomial, grading: Grading) -> Vec2:
     """Common multidegree of all terms; raises NotHomogeneous otherwise."""
     if f.is_zero():
         raise ValueError("zero polynomial has no multidegree")
@@ -536,7 +533,7 @@ def s_degree(f: Polynomial, grading: GradingMap) -> Vec2:
     return next(iter(degs))
 
 
-def is_s_homogeneous(f: Polynomial, grading: GradingMap) -> bool:
+def is_s_homogeneous(f: Polynomial, grading: Grading) -> bool:
     try:
         s_degree(f, grading)
     except NotHomogeneous:
@@ -544,7 +541,7 @@ def is_s_homogeneous(f: Polynomial, grading: GradingMap) -> bool:
     return True
 
 
-def vanishes_under_degree_map(f: Polynomial, grading: GradingMap) -> bool:
+def vanishes_under_degree_map(f: Polynomial, grading: Grading) -> bool:
     """Whether f maps to zero under x_i -> t^(deg x_i)."""
     sums: dict[Vec2, Fraction] = {}
     for m, c in f.terms.items():
@@ -569,7 +566,7 @@ def toric_kernel(f: SemigroupFamily) -> GroebnerBasis:
     for i, g in enumerate(gens):
         x_exps = [0] * n
         x_exps[2 + i] = 1
-        t_exps = [g.x, g.y] + [0] * xring.nvars
+        t_exps = [*g] + [0] * xring.nvars
         relations.append(big.poly({tuple(x_exps): 1, tuple(t_exps): -1}))
     gb = buchberger(relations, order)
 

@@ -3,7 +3,6 @@ extensions of them.
 
 Membership is decided by an exact depth-first search memoized on the residual
 vector; it terminates because every generator has positive coordinate sum.
-The search works on plain (x, y) int pairs, and its memo is keyed by them.
 A memo entry depends only on the residual and the generator tuple, so callers
 that test many targets over one tuple share one memo dict across those calls
 (never across tuples, and never module-wide).
@@ -88,23 +87,23 @@ class Witnessed:
 def member_certificate(
     generators: Iterable[Vec2],
     target: Vec2,
-    memo: Optional[dict[tuple[int, int], int]] = None,
+    memo: Optional[dict[Vec2, int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """Nonnegative coefficients c with sum(c_i * g_i) == target, or None.
 
     Exact and total: a None answer means the finite residual search space was
     exhausted.
 
-    `memo` maps a residual u, as the int pair (u.x, u.y), to the first
-    generator index i for which u - g_i is zero or a member, or to -1 when u
-    is not a member. That depends only on u and the generators, so a caller
-    may pass one dict to every call over the same generator tuple, in any
-    order, and get the certificate a fresh search gives. It must never be
-    shared across different tuples.
+    `memo` maps a residual point u to the first generator index i for which
+    u - g_i is zero or a member, or to -1 when u is not a member. That
+    depends only on u and the generators, so a caller may pass one dict to
+    every call over the same generator tuple, in any order, and get the
+    certificate a fresh search gives. It must never be shared across
+    different tuples.
     """
-    gens = tuple((g.x, g.y) for g in generators)
+    gens = tuple(generators)
     n = len(gens)
-    tx, ty = target.x, target.y
+    tx, ty = target
     if tx < 0 or ty < 0:
         return None
     if tx == 0 and ty == 0:
@@ -112,11 +111,12 @@ def member_certificate(
 
     # memo[u]: index of a generator starting a representation of u, or
     # _NOT_MEMBER. Children have strictly smaller coordinate sum, so the
-    # explicit DFS stack below always terminates.
+    # explicit DFS stack below always terminates. Residuals are built as bare
+    # pairs, which hash and compare as the Vec2 of the same coordinates but
+    # cost far less to make.
     if memo is None:
         memo = {}
-    top = (tx, ty)
-    stack: list[list] = [[top, 0]]
+    stack: list[list] = [[target, 0]]
     while stack:
         frame = stack[-1]
         u, i = frame
@@ -153,7 +153,7 @@ def member_certificate(
             memo[u] = _NOT_MEMBER
         stack.pop()
 
-    if memo[top] == _NOT_MEMBER:
+    if memo[target] == _NOT_MEMBER:
         return None
     counts = [0] * n
     while tx or ty:
@@ -203,7 +203,7 @@ def _validate_extension(
 ) -> tuple[int, tuple[int, ...]]:
     if not (b.is_nonnegative() and not b.is_zero()):
         raise BadExtension(f"extension vector {b} must be a nonzero point of N^2")
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[Vec2, int] = {}
     if member_certificate(base_generators, b, memo) is not None:
         raise BadExtension(f"{b} already lies in the base semigroup")
     # The base semigroup lies in the cone spanned by its extremal rays, and a
@@ -320,7 +320,7 @@ def apery_bruteforce(
     gens = f.all_generators
     rays = E if E is not None else extremal_rays(f)
     rays = tuple(rays)
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[Vec2, int] = {}
     for e in rays:
         if e.is_zero():
             raise ValueError("Apery base elements must be nonzero")
@@ -359,7 +359,7 @@ def apery_bruteforce(
 
 def _max_by_divisibility(f: SemigroupFamily, elements: frozenset[Vec2]) -> list[Vec2]:
     gens = f.all_generators
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[Vec2, int] = {}
     maximal = []
     for m in elements:
         dominated = any(

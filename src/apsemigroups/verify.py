@@ -9,7 +9,6 @@ evaluates the named minors. None of these reuse the closed forms they judge.
 from __future__ import annotations
 
 import functools
-import inspect
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -79,7 +78,9 @@ _BOX_CELL_BUDGET = 1 << 24
 
 
 def default_box(f: SemigroupFamily) -> EnumerationBox:
-    # 3x the largest generator coordinate covers every stored syzygy degree.
+    # 3x the largest generator coordinate. For some k = 4 families and most
+    # glued ones this leaves Hilbert-numerator terms outside the box, where
+    # the truncation check cannot see a wrong coefficient (ROADMAP item 2).
     cap = 3 * max(max(g.x, g.y) for g in f.all_generators)
     return EnumerationBox(cap, cap)
 
@@ -139,8 +140,7 @@ class VerifyOptions:
 def _check(name: str):
     """Turn a function that computes what a check judges and returns
     (passed, witness) into one that returns the CheckResult `name`, timed
-    over the whole call. The result keeps fn's name, docstring and
-    parameters, and its signature names CheckResult as the return type."""
+    over the whole call. The result keeps fn's name and docstring."""
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -149,7 +149,6 @@ def _check(name: str):
             passed, witness = fn(*args, **kwargs)
             return CheckResult(name, passed, witness, time.perf_counter() - start)
 
-        run.__signature__ = inspect.signature(fn).replace(return_annotation="CheckResult")
         return run
 
     return decorate
@@ -164,7 +163,7 @@ def _semigroup_rows(f: SemigroupFamily, box: EnumerationBox) -> list[int]:
     nx, ny = box.cap_x, box.cap_y
     mask = (1 << (ny + 1)) - 1
     gens = f.all_generators
-    steps = [(g.x, g.y) for g in gens if 0 < g.x <= nx and g.y <= ny]
+    steps = [g for g in gens if 0 < g.x <= nx and g.y <= ny]
     vertical = [g.y for g in gens if g.x == 0 and 0 < g.y <= ny]
     rows: list[int] = []
     for x in range(nx + 1):
@@ -234,14 +233,6 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
     return TruncatedSeries(box=box, rows=rows)
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_list(bits: int, width: int) -> list[int]:
-    """The low `width` bits of a bitset as 0/1 ints, lowest bit first."""
-    return list(bin(bits)[:1:-1].ljust(width, "0").encode().translate(_BIT_BYTES))
-
-
 @_check("hilbert_truncation")
 def hilbert_truncation_check(
     f: SemigroupFamily, form: HilbertSeriesForm, box: EnumerationBox
@@ -249,20 +240,23 @@ def hilbert_truncation_check(
     """Coefficient-for-coefficient agreement of the closed form with the
     enumerated semigroup: 1 on semigroup points, 0 elsewhere.
 
-    The enumerated points become one bitset per row, and each series row is
-    compared with its bitset whole; only a row that differs is scanned for
-    its first differing cell.
+    Each series row is compared whole with the row's expected 0/1 list, built
+    from the enumerated points one row at a time; only a row that differs is
+    scanned for its first differing cell.
     """
-    member_rows = [0] * (box.cap_x + 1)
-    for v in enumerate_semigroup(f, box):
-        member_rows[v.x] |= 1 << v.y
+    member_ys: list[list[int]] = [[] for _ in range(box.cap_x + 1)]
+    for x, y in enumerate_semigroup(f, box):
+        member_ys[x].append(y)
     series = expand_series(form, box)
     width = box.cap_y + 1
-    for x, (row, bits) in enumerate(zip(series.rows, member_rows)):
-        if row == _bit_list(bits, width):
+    for x, (row, ys) in enumerate(zip(series.rows, member_ys)):
+        expected = [0] * width
+        for y in ys:
+            expected[y] = 1
+        if row == expected:
             continue
-        y = next(y for y, got in enumerate(row) if got != (bits >> y) & 1)
-        return False, f"coefficient at {Vec2(x, y)} is {row[y]}, expected {(bits >> y) & 1}"
+        y = next(y for y, (got, want) in enumerate(zip(row, expected)) if got != want)
+        return False, f"coefficient at {Vec2(x, y)} is {row[y]}, expected {expected[y]}"
     return True, None
 
 
@@ -595,7 +589,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
             data = gluing_data(f)
             if not vanishes_under_degree_map(data.extra_generator, family_grading(f)):
                 return False, "glue binomial does not vanish under the degree map"
-            memo: dict[tuple[int, int], int] = {}
+            memo: dict[Vec2, int] = {}
             for m in range(1, data.mu):
                 if member_certificate(f.generators, m * f.extension, memo) is not None:
                     return False, f"{m}*b already lies in the base semigroup"

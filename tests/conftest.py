@@ -68,3 +68,16 @@ def example_two():
 @pytest.fixture
 def example_two_base():
     return build_family(Vec2(2, 3), Vec2(2, 2), 3)
+
+
+@pytest.fixture
+def hypothesis():
+    return pytest.importorskip("hypothesis")
+
+
+def property_settings(hypothesis):
+    """Derandomized and bounded, so a property test runs the same examples
+    on every run."""
+    return hypothesis.settings(
+        max_examples=150, derandomize=True, database=None, deadline=None
+    )

@@ -227,6 +227,43 @@ class TestOtherCommands:
         assert present == sections
 
 
+BIG_BASE = ["--a", f"{2**60},1", "--d", "1,2", "--k", "2"]
+BIG_GLUED = ["--a", f"{2**60},1", "--d", "2,2", "--k", "2", "--b", f"{2**60 + 1},2"]
+SMALL_BOX = ["--skip-toric", "--box-x", "8", "--box-y", "8"]
+# the keys under which the 2^60 families' documents hold decimal strings
+BIG_FAMILY_KEYS = {("family", "a"), ("family", "generators")}
+BIG_APERY_KEYS = {
+    ("apery", "base"),
+    ("apery", "closed_form"),
+    ("apery", "bruteforce"),
+    ("hilbert", "numerator_terms"),
+    ("hilbert", "denominator"),
+}
+BIG_BASE_KEYS = {("qf",), ("resolution", "shifts")}
+BIG_GLUED_KEYS = {
+    ("family", "b"),
+    ("extension", "b"),
+    ("extension", "glue_degree"),
+    ("extension", "apery"),
+    ("extension", "apery_bruteforce"),
+}
+
+
+def number_leaves(node, path=()):
+    """(path, value) for every int and decimal-string leaf of a JSON value."""
+    if isinstance(node, dict):
+        for key, v in node.items():
+            yield from number_leaves(v, path + (key,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from number_leaves(v, path + (i,))
+    elif isinstance(node, str):
+        if node.lstrip("-").isdigit():
+            yield path, node
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield path, node
+
+
 class TestDeterminism:
     def test_json_round_trip_is_byte_identical(self, capsys):
         args = ["analyze", "--a", "5,4", "--d", "4,9", "--k", "3", "--format", "json"]
@@ -246,14 +283,36 @@ class TestDeterminism:
         assert first == second
 
     def test_big_integers_serialized_as_strings(self, capsys):
-        big = 2**60
-        code, doc, raw = run_json(
-            capsys, ["ideal", "--a", f"{big},1", "--d", "1,2", "--k", "2"]
-        )
-        assert code == 0
-        assert doc["family"]["a"][0] == str(big)
-        reparsed = json.dumps(json.loads(raw), indent=2) + "\n"
-        assert reparsed == raw
+        base_keys = BIG_FAMILY_KEYS | BIG_APERY_KEYS | BIG_BASE_KEYS
+        glued_keys = BIG_FAMILY_KEYS | BIG_APERY_KEYS | BIG_GLUED_KEYS
+        for argv, string_keys in [
+            (["ideal", *BIG_BASE], BIG_FAMILY_KEYS),
+            (["analyze", *BIG_BASE], base_keys),
+            (["verify", *BIG_BASE, *SMALL_BOX], base_keys),
+            (["analyze", *BIG_GLUED], glued_keys),
+            (["extend", *BIG_GLUED], glued_keys),
+            (["verify", *BIG_GLUED, *SMALL_BOX], glued_keys),
+        ]:
+            code, doc, raw = run_json(capsys, argv)
+            assert code == 0
+            assert doc["family"]["a"][0] == str(2**60)
+            # ints below 2^53 stay JSON numbers, and only those at or past it
+            # are decimal strings, whichever key holds them
+            leaves = list(number_leaves(doc))
+            for path, v in leaves:
+                assert isinstance(v, str) == (abs(int(v)) >= 2**53), (argv, path)
+            held = {
+                tuple(k for k in path if isinstance(k, str))
+                for path, v in leaves
+                if isinstance(v, str)
+            }
+            assert held == string_keys, argv
+            # verdicts stay JSON true, false and null
+            assert all(v in (True, False, None) for v in doc.get("flags", {}).values())
+            for check in doc.get("checks", []):
+                assert check["passed"] is True and check["witness"] is None
+            reparsed = json.dumps(json.loads(raw), indent=2) + "\n"
+            assert reparsed == raw
 
 
 class TestAperyCap:

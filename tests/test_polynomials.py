@@ -29,7 +29,7 @@ from apsemigroups import (
     vanishes_under_degree_map,
 )
 from apsemigroups import polynomials
-from conftest import random_family
+from conftest import property_settings, random_family
 
 
 def ring_k(k):
@@ -178,17 +178,6 @@ class TestCompiledKeys:
         assert "key" not in vars(grevlex(3))
 
 
-@pytest.fixture
-def hypothesis():
-    return pytest.importorskip("hypothesis")
-
-
-def _property_settings(hypothesis):
-    return hypothesis.settings(
-        max_examples=150, derandomize=True, database=None, deadline=None
-    )
-
-
 def _orders(st, n):
     """grevlex, lex and elimination orders on n variables, each with a random
     precedence (and a random block for elimination)."""
@@ -210,7 +199,7 @@ class TestOrderProperties:
     def test_total_multiplicative_with_one_minimal(self, hypothesis):
         st = hypothesis.strategies
 
-        @_property_settings(hypothesis)
+        @property_settings(hypothesis)
         @hypothesis.given(st.data())
         def check(data):
             n = data.draw(st.integers(1, 5))
@@ -238,7 +227,7 @@ class TestReduceProperties:
     def test_remainder_is_reduced_and_stable(self, hypothesis):
         st = hypothesis.strategies
 
-        @_property_settings(hypothesis)
+        @property_settings(hypothesis)
         @hypothesis.given(st.data())
         def check(data):
             k = data.draw(st.integers(2, 4))

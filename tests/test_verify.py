@@ -218,6 +218,47 @@ class TestTruncation:
         assert "coefficient at" in result.witness
 
 
+def bumped(form, deg, by=5):
+    """form with `by` added to the numerator coefficient of t^deg."""
+    num = form.numerator_dict()
+    num[deg] += by
+    return HilbertSeriesForm(
+        numerator=tuple((c, d) for d, c in num.items()),
+        denominator_factors=form.denominator_factors,
+    )
+
+
+# default_box is 3x the largest generator coordinate, which leaves the top
+# numerator terms of these families outside it: a wrong coefficient there goes
+# unseen by the truncation check.
+OUTSIDE_DEFAULT_BOX = [
+    ((Vec2(2, 3), Vec2(2, 2), 3, Vec2(9, 11)), Vec2(34, 41)),
+    ((Vec2(9, 5), Vec2(1, 2), 4, None), Vec2(45, 38)),
+]
+
+
+class TestDefaultBoxCoverage:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="default_box misses Hilbert-numerator terms at k = 4 and for glued "
+        "families; widening it changes the benchmark's pinned box cells",
+    )
+    @pytest.mark.parametrize("params, deg", OUTSIDE_DEFAULT_BOX)
+    def test_perturbed_top_term_caught_by_default_box(self, params, deg):
+        f = build_family(*params)
+        broken = bumped(hilbert_numerator(f), deg)
+        assert not hilbert_truncation_check(f, broken, default_box(f)).passed
+
+    @pytest.mark.parametrize("params, deg", OUTSIDE_DEFAULT_BOX)
+    def test_perturbed_top_term_caught_by_a_covering_box(self, params, deg):
+        f = build_family(*params)
+        form = hilbert_numerator(f)
+        cover = EnumerationBox(*map(max, zip(*(d for _, d in form.numerator))))
+        result = hilbert_truncation_check(f, bumped(form, deg), cover)
+        assert not result.passed
+        assert result.witness == f"coefficient at {deg} is 6, expected 1"
+
+
 class TestComplexCheck:
     def test_passes_for_stored_resolutions(self, rng):
         for k in (2, 3, 4):
