@@ -18,6 +18,7 @@ Exit codes: 0 all checks passed, 1 some check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -306,7 +307,10 @@ _SECTIONS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later
+    `main` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="apsemigroups",
         description="Exact invariants of plane affine semigroups generated by "
@@ -325,8 +329,11 @@ def main(argv=None) -> int:
     for name, desc in specs.items():
         p = sub.add_parser(name, help=desc)
         _add_family_args(p, name)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     report = error = None
     # CapTooSmall is recorded, not shown, so a message that several checks
     # raise prints once per call

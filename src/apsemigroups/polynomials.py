@@ -9,20 +9,24 @@ coprime-pair skip, and elimination-based toric kernels.
 
 Each order compiles its key function once, when it is built, from
 `operator.itemgetter` over its precedence, and memoises it per order in a
-bounded `functools.lru_cache`. Buchberger's pairs carry the lcm of their
-leading monomials from the moment they are created, and the next pair is the
-minimum of `zip(keys, pairs)`, scanned at C level. `MonomialOrder.key` is
-still called once per pair per scan, and once per term in every
-`leading_term` and `reduce` step: `perfbench/counts.json` pins that count,
-and the memo makes each call cheaper without removing one. Cutting the calls
-themselves (a heap of pairs) waits for ROADMAP item 2.
+plain dict that fills on a miss and empties itself at `_KEY_MEMO_BOUND`
+entries, so a hit is one C-level dict lookup. Buchberger's pairs carry the
+lcm of their leading monomials from the moment they are created, and the
+next pair is the minimum of `zip(keys, pairs)`, scanned at C level.
+`MonomialOrder.key` is still called once per pair per scan, and once per
+term in every `leading_term` and `reduce` step: `perfbench/counts.json` pins
+that count, and the memo makes each call cheaper without removing one.
+Cutting the calls themselves (a heap of pairs) waits for ROADMAP item 2.
+
+Division never touches a leading term: the lead of each reducer cancels by
+construction, so a step deletes it and subtracts only the reducer's tail,
+divided by its leading coefficient once per `reduce` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, ge, itemgetter, le, neg, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -35,9 +39,10 @@ Mono = tuple[int, ...]
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# Entries per order in the key memo. Orders in _DISPLAY_CACHE live as long as
-# the process, so the memo is bounded; the largest one measured on the
-# package's own workloads held 3,563 keys (analyze at k = 14).
+# Entries per order in the key memo, which empties itself when it reaches
+# this size. Orders in _DISPLAY_CACHE live as long as the process, so the
+# memo is bounded; the largest one measured on the package's own workloads
+# held 3,563 keys (analyze at k = 14).
 _KEY_MEMO_BOUND = 2**14
 
 
@@ -68,7 +73,8 @@ def mono_degree(m: Mono) -> int:
 
 
 def mono_coprime(m1: Mono, m2: Mono) -> bool:
-    return all(a == 0 or b == 0 for a, b in zip(m1, m2))
+    # exponents are never negative, so min is 0 exactly where one of them is
+    return not any(map(min, m1, m2))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +196,10 @@ class Polynomial:
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def mul_monomial(self, mono: Mono, coeff=1) -> "Polynomial":
+        if coeff == 1:
+            return Polynomial(
+                self.ring, {tuple(map(add, m, mono)): v for m, v in self.terms.items()}
+            )
         c = Fraction(coeff)
         if not c:
             return Polynomial(self.ring, {})
@@ -271,6 +281,22 @@ def _compile_grevlex(idxs: tuple[int, ...]) -> Callable[[Mono], tuple]:
     return key
 
 
+class _KeyMemo(dict):
+    """Monomial -> key of one order. A miss computes the key; at
+    _KEY_MEMO_BOUND entries the memo empties itself first."""
+
+    __slots__ = ("compiled",)
+
+    def __init__(self, compiled: Callable[[Mono], tuple]):
+        self.compiled = compiled
+
+    def __missing__(self, m: Mono):
+        if len(self) >= _KEY_MEMO_BOUND:
+            self.clear()
+        k = self[m] = self.compiled(m)
+        return k
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total, multiplicative well-order on monomials.
@@ -290,7 +316,7 @@ class MonomialOrder:
     kind: str
     precedence: tuple[int, ...]
     block: int = 0
-    _compiled: Callable[[Mono], tuple] = field(init=False, repr=False, compare=False)
+    _memo: _KeyMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prec = self.precedence
@@ -307,12 +333,10 @@ class MonomialOrder:
 
         else:
             raise ValueError(f"unknown order kind {self.kind!r}")
-        object.__setattr__(
-            self, "_compiled", lru_cache(maxsize=_KEY_MEMO_BOUND)(compiled)
-        )
+        object.__setattr__(self, "_memo", _KeyMemo(compiled))
 
     def key(self, m: Mono):
-        return self._compiled(m)
+        return self._memo[m]
 
 
 def grevlex(n: int, precedence: Optional[Sequence[int]] = None) -> MonomialOrder:
@@ -338,10 +362,11 @@ def compare(order: MonomialOrder, m1: Mono, m2: Mono) -> int:
 
 
 def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Mono, Fraction]:
-    if f.is_zero():
+    terms = f.terms
+    if not terms:
         raise ValueError("zero polynomial has no leading term")
-    m = max(f.terms, key=order.key)
-    return m, f.terms[m]
+    m = max(terms, key=order.key)
+    return m, terms[m]
 
 
 def leading_monomial(f: Polynomial, order: MonomialOrder) -> Mono:
@@ -359,28 +384,43 @@ def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
 
 def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     """Normal form of f modulo G; no term of the result is divisible by any
-    leading term of G. The reducer is the first match in list order."""
-    reducers = [(g, *leading_term(g, order)) for g in G if not g.is_zero()]
+    leading term of G. The reducer is the first match in list order.
+
+    A step removes the leading term m = c*x^u and subtracts c * x^(u - lm(g))
+    times the tail of g, the non-leading terms divided by lc(g): the leading
+    terms cancel exactly, so they are never computed. Each reducer's tail is
+    built the first time it fires and kept for the rest of the call.
+    """
+    # one row per nonzero g: [lm, lc, tail (None until g first fires), g]
+    reducers = [[*leading_term(g, order), None, g] for g in G if g.terms]
     work = dict(f.terms)
     remainder: dict[Mono, Fraction] = {}
+    key = order.key
     while work:
-        m = max(work, key=order.key)
-        c = work[m]
-        for g, lm, lc in reducers:
-            if mono_divides(lm, m):
-                shift = mono_div(m, lm)
-                factor = c / lc
-                for gm, gc in g.terms.items():
-                    mm = mono_mul(gm, shift)
-                    nc = work.get(mm, _F0) - factor * gc
+        m = max(work, key=key)
+        c = work.pop(m)
+        for r in reducers:
+            lm = r[0]
+            if all(map(le, lm, m)):
+                tail = r[2]
+                if tail is None:
+                    lc = r[1]
+                    tail = r[2] = [
+                        (gm, gc if lc == 1 else gc / lc)
+                        for gm, gc in r[3].terms.items()
+                        if gm != lm
+                    ]
+                shift = tuple(map(sub, m, lm))
+                for gm, q in tail:
+                    mm = tuple(map(add, gm, shift))
+                    nc = work.get(mm, _F0) - c * q
                     if nc:
                         work[mm] = nc
                     else:
-                        work.pop(mm, None)
+                        del work[mm]
                 break
         else:
             remainder[m] = c
-            del work[m]
     return Polynomial(f.ring, remainder)
 
 
@@ -390,9 +430,9 @@ def s_polynomial(
     lmf, lcf = leading_term(f, order)
     lmg, lcg = leading_term(g, order)
     gamma = mono_lcm(lmf, lmg)
-    return f.mul_monomial(mono_div(gamma, lmf), 1 / lcf) - g.mul_monomial(
-        mono_div(gamma, lmg), 1 / lcg
-    )
+    return f.mul_monomial(
+        mono_div(gamma, lmf), 1 if lcf == 1 else 1 / lcf
+    ) - g.mul_monomial(mono_div(gamma, lmg), 1 if lcg == 1 else 1 / lcg)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +85,22 @@ def property_settings(hypothesis):
     return hypothesis.settings(
         max_examples=150, derandomize=True, database=None, deadline=None
     )
+
+
+def run_fresh_python(code: str, *args: str, **env: str) -> str:
+    """stdout of `python -c code args` in a new interpreter that imports the
+    package from this checkout's `src`; raises if it exits nonzero."""
+    root = Path(__file__).resolve().parent.parent
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = str(root / "src") + (
+        os.pathsep + full_env["PYTHONPATH"] if full_env.get("PYTHONPATH") else ""
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=root,
+        env=full_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from apsemigroups.cli import main
+from conftest import run_fresh_python
 
 
 def run(capsys, argv):
@@ -400,3 +401,49 @@ class TestFlagSurface:
     )
     def test_kept_flag_changes_output(self, capsys, argv, flags):
         assert run(capsys, argv + flags) != run(capsys, argv)
+
+
+# Runs `cli.main` on each argv of a JSON list, in order, in this one process,
+# and prints the (exit code, stdout, stderr) of each call as a JSON list.
+SEQUENCE_PROBE = """
+import contextlib, io, json, sys
+from apsemigroups.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestParserReuse:
+    """The parser is built once per process and reused; a call made after
+    others gives the same exit code, stdout and stderr as when it is the
+    first call of a fresh process."""
+
+    FAMILY = ["--a", "5,4", "--d", "4,9", "--k", "2"]
+    CALLS = [
+        ["verify", *FAMILY, "--skip-toric"],
+        ["verify", *FAMILY],
+        ["analyze", *FAMILY, "--box-x", "3"],  # argparse rejects it: exit 2
+        ["analyze", *FAMILY],
+        ["groebner", *FAMILY, "--format", "text"],
+        ["groebner", *FAMILY, "--format", "json"],
+    ]
+
+    @staticmethod
+    def run_in_fresh_process(calls):
+        return json.loads(run_fresh_python(SEQUENCE_PROBE, json.dumps(calls), COLUMNS="80"))
+
+    def test_each_call_matches_its_first_run(self):
+        in_sequence = self.run_in_fresh_process(self.CALLS)
+        codes = [code for code, _, _ in in_sequence]
+        assert codes == [0, 0, 2, 0, 0, 0]
+        assert "unrecognized arguments: --box-x 3" in in_sequence[2][2]
+        for argv, got in zip(self.CALLS, in_sequence):
+            assert got == self.run_in_fresh_process([argv])[0], argv

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from apsemigroups import (
     InfiniteDimension,
     GroebnerBasis,
     MonomialOrder,
+    Polynomial,
     PolynomialRing,
     Vec2,
     buchberger,
@@ -109,6 +111,45 @@ def reference_key(order, m):
     return (grevlex_key(head), grevlex_key(tail))
 
 
+def reference_reduce(f, G, order):
+    """Division as the textbook step: each step divides by the reducer's
+    leading coefficient and subtracts every term of the shifted reducer, the
+    leading one included. The oracle for `reduce`."""
+    reducers = [(g, *leading_term(g, order)) for g in G if not g.is_zero()]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work[m]
+        for g, lm, lc in reducers:
+            if polynomials.mono_divides(lm, m):
+                shift = polynomials.mono_div(m, lm)
+                factor = c / lc
+                for gm, gc in g.terms.items():
+                    mm = polynomials.mono_mul(gm, shift)
+                    nc = work.get(mm, Fraction(0)) - factor * gc
+                    if nc:
+                        work[mm] = nc
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return Polynomial(f.ring, remainder)
+
+
+def reference_s_polynomial(f, g, order):
+    """(lcm / lt(f)) * f - (lcm / lt(g)) * g, both scaled by Fractions. The
+    oracle for `s_polynomial`."""
+    lmf, lcf = leading_term(f, order)
+    lmg, lcg = leading_term(g, order)
+    gamma = polynomials.mono_lcm(lmf, lmg)
+    return f.mul_monomial(polynomials.mono_div(gamma, lmf), 1 / lcf) - g.mul_monomial(
+        polynomials.mono_div(gamma, lmg), 1 / lcg
+    )
+
+
 class TestCompiledKeys:
     N = 5
 
@@ -141,7 +182,7 @@ class TestCompiledKeys:
         warm = grevlex(4)
         for m in itertools.product(range(3), repeat=4):
             warm.key(m)
-        assert warm._compiled.cache_info().currsize == 81
+        assert len(warm._memo) == 81
         assert warm == grevlex(4)
         assert hash(warm) == hash(grevlex(4))
         assert grevlex(4) != lex_order(range(4))
@@ -167,8 +208,9 @@ class TestCompiledKeys:
         for order in self.orders(rng):
             for m in monos:
                 assert order.key(m) == reference_key(order, m)
-            assert order._compiled.cache_info().currsize == bound
+                assert len(order._memo) <= bound
             # the first monomials were evicted; they come back exact
+            assert monos[0] not in order._memo
             for m in monos[:50]:
                 assert order.key(m) == reference_key(order, m)
 
@@ -250,6 +292,54 @@ class TestReduceProperties:
             for m in r.terms:
                 assert not any(all(a <= b for a, b in zip(lt, m)) for lt in lts)
             assert reduce(r, G, order) == r
+
+        check()
+
+
+class TestEngineMatchesReference:
+    """`reduce` and `s_polynomial` against the textbook steps above, on
+    non-monic reducers with non-integral coefficients, reducers that share a
+    leading monomial (so the first match in list order must win), and zero
+    polynomials among the reducers."""
+
+    def test_reduce_and_s_polynomial_match_reference(self, hypothesis):
+        st = hypothesis.strategies
+        n = 4
+        ring = PolynomialRing(["x", "y", "z", "w"])
+        coefficients = st.builds(
+            Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
+        )
+        polys = st.dictionaries(
+            _monomials(st, n, 3), coefficients, min_size=1, max_size=5
+        ).map(ring.poly)
+
+        @property_settings(hypothesis)
+        @hypothesis.given(st.data())
+        def check(data):
+            order = data.draw(_orders(st, n))
+            G = data.draw(st.lists(polys, min_size=1, max_size=4))
+            # a rival with the same leading monomial and a different tail
+            lm = leading_term(G[0], order)[0]
+            below = {
+                m: c
+                for m, c in data.draw(polys).terms.items()
+                if order.key(m) < order.key(lm)
+            }
+            rival = ring.poly({**below, lm: data.draw(coefficients)})
+            G.insert(data.draw(st.integers(0, len(G))), rival)
+            for _ in range(data.draw(st.integers(0, 2))):
+                G.insert(data.draw(st.integers(0, len(G))), ring.zero())
+            # f: arbitrary, or a combination of G plus noise
+            f = data.draw(polys)
+            for g in data.draw(st.lists(st.sampled_from(G), max_size=3)):
+                shift = data.draw(_monomials(st, n, 2))
+                f = f + g.mul_monomial(shift, data.draw(coefficients))
+            assert reduce(f, G, order) == reference_reduce(f, G, order)
+            nonzero = [g for g in G if not g.is_zero()]
+            for g1, g2 in itertools.combinations(nonzero, 2):
+                assert s_polynomial(g1, g2, order) == reference_s_polynomial(
+                    g1, g2, order
+                )
 
         check()
 
