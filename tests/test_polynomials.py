@@ -150,6 +150,34 @@ def reference_s_polynomial(f, g, order):
     )
 
 
+def reference_buchberger(gens, order):
+    """Buchberger's completion with the pairs in a dict (pair -> lcm) and the
+    next pair taken as the least (key, pair) of `zip`: the S-pair order
+    `buchberger` must keep. It calls `polynomials.s_polynomial` through the
+    module, so a spy patched there sees its pairs too."""
+    G = [polynomials.monic(g, order) for g in gens if not g.is_zero()]
+    lms = [polynomials.leading_monomial(g, order) for g in G]
+    lcm = polynomials.mono_lcm
+    pairs = {
+        (i, j): lcm(lms[i], lms[j])
+        for i in range(len(G))
+        for j in range(i + 1, len(G))
+    }
+    while pairs:
+        _, (i, j) = min(zip(map(order.key, pairs.values()), pairs))
+        del pairs[i, j]
+        if polynomials.mono_coprime(lms[i], lms[j]):
+            continue
+        r = reduce(polynomials.s_polynomial(G[i], G[j], order), G, order)
+        if r.is_zero():
+            continue
+        G.append(polynomials.monic(r, order))
+        lms.append(polynomials.leading_monomial(r, order))
+        new = len(G) - 1
+        pairs.update(((t, new), lcm(lms[t], lms[new])) for t in range(new))
+    return GroebnerBasis(order, tuple(polynomials._interreduce(G, order)))
+
+
 class TestCompiledKeys:
     N = 5
 
@@ -218,6 +246,35 @@ class TestCompiledKeys:
         # instrumentation replaces MonomialOrder.key; an instance attribute
         # would shadow it
         assert "key" not in vars(grevlex(3))
+
+    def test_key_is_callable_on_the_class(self, rng):
+        for order in self.orders(rng):
+            for m in self.monomials(rng):
+                assert (
+                    MonomialOrder.key(order, m)
+                    == order.key(m)
+                    == reference_key(order, m)
+                )
+
+    def test_a_counter_on_the_class_sees_every_key_call(
+        self, monkeypatch, example_one
+    ):
+        # a plain counting function over MonomialOrder.key, as the benchmark's
+        # tracer installs it; the numbers are those of the method-based key
+        original = MonomialOrder.__dict__["key"]
+        calls = 0
+
+        def key(order, m):
+            nonlocal calls
+            calls += 1
+            return original(order, m)
+
+        monkeypatch.setattr(MonomialOrder, "key", key)
+        buchberger(list(generating_set(4).G), grevlex(5))
+        assert calls == 444
+        calls = 0
+        toric_kernel(example_one)
+        assert calls == 18528
 
 
 def _orders(st, n):
@@ -458,6 +515,46 @@ class TestBuchberger:
             ("x*y - x", "x"),
         ]
         assert set(out.elements) == {x, y}
+
+    def test_pair_order_and_basis_match_reference(self, hypothesis, monkeypatch):
+        # random inputs whose completion adds elements, so new pairs are
+        # inserted among the old ones; the S-pair sequence and the basis
+        # must be those of the dict-and-zip loop
+        st = hypothesis.strategies
+        n = 3
+        ring = PolynomialRing(["x", "y", "z"])
+        coefficients = st.sampled_from([-2, -1, 1, 3])
+        polys = st.dictionaries(
+            _monomials(st, n, 2), coefficients, min_size=1, max_size=3
+        ).map(ring.poly)
+        taken = []
+        original = polynomials.s_polynomial
+
+        def spy(f, g, o):
+            taken.append((f, g))
+            return original(f, g, o)
+
+        monkeypatch.setattr(polynomials, "s_polynomial", spy)
+        grew = []
+
+        @property_settings(hypothesis)
+        @hypothesis.given(st.data())
+        def check(data):
+            order = data.draw(_orders(st, n))
+            gens = data.draw(st.lists(polys, min_size=2, max_size=4))
+            taken.clear()
+            expected = reference_buchberger(gens, order)
+            expected_pairs = list(taken)
+            taken.clear()
+            out = buchberger(gens, order)
+            assert taken == expected_pairs
+            assert out.elements == expected.elements
+            inputs = {polynomials.monic(g, order) for g in gens if not g.is_zero()}
+            grew.append(any(h not in inputs for pair in taken for h in pair))
+
+        check()
+        # 58 of the 150 examples add elements; insertion must not go untested
+        assert sum(grew) >= 30
 
     def test_idempotent_and_verified(self, rng):
         ring = PolynomialRing(["x", "y", "z"])
