@@ -1,18 +1,21 @@
 """Independent oracles that pin every closed form to first principles.
 
-The enumeration oracle rebuilds the semigroup row by row inside a box;
-the truncated-series oracle expands the rational Hilbert form inside the same
-box; the complex checker multiplies the stored resolution matrices out and
-evaluates the named minors. None of these reuse the closed forms they judge.
+The enumeration oracle rebuilds the semigroup row by row inside a box, each
+row one int used as a bitset. The truncated-series oracle expands the rational
+Hilbert form inside the same box, each row one int holding a signed w-bit field
+per coefficient (Kronecker substitution: the row polynomial evaluated at 2^w,
+exact mod 2^(w * row length) once w holds every final coefficient), so each
+denominator pass is one shift-add per row. The complex checker multiplies the
+stored resolution matrices out and evaluates the named minors. None of these
+reuse the closed forms they judge.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import add
 from typing import Optional
 
 from .closed_forms import (
@@ -72,8 +75,10 @@ class EnumerationBox:
             raise ValueError("box caps must be positive")
 
 
-# Ceiling on (cap_x + 1) * (cap_y + 1) for the truncation check, whose
-# series oracle holds the whole box densely, one list slot per cell.
+# Ceiling on (cap_x + 1) * (cap_y + 1) for the truncation check. Its series
+# oracle holds the whole box: first packed, w bits per cell (w = 64 unless the
+# coefficients need more), then as the lists it returns, one slot per cell; it
+# swaps one for the other a row at a time, so the two are never all held.
 _BOX_CELL_BUDGET = 1 << 24
 
 
@@ -200,36 +205,98 @@ def enumerate_semigroup(f: SemigroupFamily, box: EnumerationBox) -> list[Vec2]:
     ]
 
 
+def _coefficient_bound(form: HilbertSeriesForm, box: EnumerationBox) -> int:
+    """A bound on |coefficient| of the expanded series inside the box.
+
+    A coefficient at v is a sum over the numerator terms t^u of c_u times
+    the number of ways to write v - u as sum of m_g * g over the factors.
+    Each m_g * g then fits in the box, so m_g is at most the largest
+    multiple M_g of g that does, and a factor outside the box contributes
+    nothing: the bound is sum |c_u| over the terms in the box times the
+    product of (1 + M_g) over the factors in it.
+    """
+    nx, ny = box.cap_x, box.cap_y
+    bound = sum(abs(c) for c, d in form.numerator if 0 <= d.x <= nx and 0 <= d.y <= ny)
+    for g in form.denominator_factors:
+        if g.x <= nx and g.y <= ny:
+            bound *= 1 + min(cap // c for cap, c in ((nx, g.x), (ny, g.y)) if c)
+    return bound
+
+
 def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeries:
     """Expand numerator / prod(1 - t^g) as a power series inside the box.
 
-    The box is one dense list of ints per row. Each denominator factor is an
-    in-place geometric-series pass, coefficient(v) += coefficient(v - g):
-    with g.x > 0 it is one slice addition per row, row x from g.y on plus
-    row x - g.x (skipped when that row is all zero); with g.x = 0 it is a
-    running sum along each residue class of y mod g.y. Numerator terms
-    outside the box cannot influence coefficients inside it.
+    Each row x of the box is one Python int: the coefficient of t^(x, y)
+    sits in bits w*y to w*y + w - 1, as a signed w-bit field, and the row is
+    kept mod 2^(w * (cap_y + 1)). That is the row polynomial in Y, cut at
+    Y^cap_y, evaluated at Y = 2^w: a ring map, so sums and shifts of rows
+    act on the fields as on the coefficients they encode, carries and
+    borrows included, and the fields decode exactly once w holds every
+    final coefficient with its sign. w is the least multiple of 64 whose
+    signed fields hold +-_coefficient_bound; intermediate coefficients may
+    wrap, as only the final ones are read.
+
+    Each denominator factor is a geometric-series pass,
+    coefficient(v) += coefficient(v - g): with g.x > 0 it adds row x - g.x,
+    shifted up by g.y fields, to row x, for x rising; with g.x = 0 it
+    multiplies each row by (1 + Y^g.y)(1 + Y^(2 g.y))(1 + Y^(4 g.y))...,
+    doubling the shift while it fits in the row. Numerator terms and
+    factors outside the box cannot influence coefficients inside it.
+
+    The rows are decoded one at a time, each packed row freed as its list
+    of ints takes its place: the row's bytes are read as signed w-bit
+    fields, and the field above a negative one, which lent it 1, gets that
+    1 back.
     """
-    nx, ny = box.cap_x, box.cap_y
-    rows = [[0] * (ny + 1) for _ in range(nx + 1)]
-    for c, deg in form.numerator:
-        if 0 <= deg.x <= nx and 0 <= deg.y <= ny:
-            rows[deg.x][deg.y] += c
     for g in form.denominator_factors:
         if not g.is_nonnegative() or g.is_zero():
             raise ValueError(f"denominator factor 1 - t^{g} has no power series in N^2")
-        if g.x > nx or g.y > ny:
+    nx, ny = box.cap_x, box.cap_y
+    width = ny + 1
+    w = (_coefficient_bound(form, box).bit_length() + 64) // 64 * 64
+    full = (1 << (w * width)) - 1
+    rows = [0] * (nx + 1)
+    for c, deg in form.numerator:
+        if 0 <= deg.x <= nx and 0 <= deg.y <= ny:
+            rows[deg.x] += c << (w * deg.y)
+    rows = [row & full for row in rows]
+    for gx, gy in form.denominator_factors:
+        if gx > nx or gy > ny:
             continue
-        if g.x:
-            for x in range(g.x, nx + 1):
-                prev = rows[x - g.x]
-                if any(prev):
-                    row = rows[x]
-                    row[g.y :] = map(add, row[g.y :], prev)
+        if gx:
+            shift = w * gy
+            for x in range(gx, nx + 1):
+                prev = rows[x - gx]
+                if prev:
+                    rows[x] = (rows[x] + (prev << shift)) & full
         else:
-            for row in rows:
-                for r in range(g.y):
-                    row[r :: g.y] = accumulate(row[r :: g.y])
+            for x, row in enumerate(rows):
+                step = gy
+                while row and step <= ny:
+                    row = (row + (row << (w * step))) & full
+                    step <<= 1
+                rows[x] = row
+    del full  # the passes are done: free it before the rows become lists
+    nbytes = w * width // 8
+    field_bytes = w // 8
+    for x in range(nx + 1):
+        # only `row` holds the packed row, freed once its bytes are taken
+        row, rows[x] = rows[x], None
+        data = row.to_bytes(nbytes, "little")
+        del row
+        if w == 64 and sys.byteorder == "little":
+            cells = memoryview(data).cast("q").tolist()
+        else:
+            cells = [
+                int.from_bytes(data[i : i + field_bytes], "little", signed=True)
+                for i in range(0, nbytes, field_bytes)
+            ]
+        # a field is negative iff the top byte of its field has its high bit set
+        if not data[field_bytes - 1 :: field_bytes].isascii():
+            # a negative field borrowed 1 from the field above it, which so
+            # reads one too low
+            cells = [c + (below < 0) for c, below in zip(cells, [0] + cells)]
+        rows[x] = cells
     return TruncatedSeries(box=box, rows=rows)
 
 

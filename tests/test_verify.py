@@ -1,4 +1,8 @@
+import math
 import time
+import tracemalloc
+from itertools import accumulate
+from operator import add, neg
 
 import pytest
 
@@ -23,7 +27,7 @@ from apsemigroups import (
 )
 from apsemigroups import verify
 from apsemigroups.verify import poly_matrix_det, _named_minors
-from conftest import random_family
+from conftest import property_settings, random_family
 
 
 def slowed(fn):
@@ -55,6 +59,35 @@ def naive_series(form, box):
         for y in range(ny + 1)
         if grid[x][y]
     }
+
+
+def reference_expand_series(form, box):
+    """The series as one dense list of ints per row. Each denominator factor
+    is an in-place pass, coefficient(v) += coefficient(v - g): with g.x > 0 a
+    slice addition per row, row x from g.y on plus row x - g.x (skipped when
+    that row is all zero); with g.x = 0 a running sum along each residue
+    class of y mod g.y. The oracle for `expand_series`."""
+    nx, ny = box.cap_x, box.cap_y
+    rows = [[0] * (ny + 1) for _ in range(nx + 1)]
+    for c, deg in form.numerator:
+        if 0 <= deg.x <= nx and 0 <= deg.y <= ny:
+            rows[deg.x][deg.y] += c
+    for g in form.denominator_factors:
+        if not g.is_nonnegative() or g.is_zero():
+            raise ValueError(f"denominator factor 1 - t^{g} has no power series in N^2")
+        if g.x > nx or g.y > ny:
+            continue
+        if g.x:
+            for x in range(g.x, nx + 1):
+                prev = rows[x - g.x]
+                if any(prev):
+                    row = rows[x]
+                    row[g.y :] = map(add, row[g.y :], prev)
+        else:
+            for row in rows:
+                for r in range(g.y):
+                    row[r :: g.y] = accumulate(row[r :: g.y])
+    return verify.TruncatedSeries(box=box, rows=rows)
 
 
 # (family, box): generators on the y-axis and on the x-axis, generators past
@@ -163,6 +196,14 @@ class TestRowOracles:
         with pytest.raises(ValueError):
             expand_series(form, EnumerationBox(3, 3))
 
+    @pytest.mark.parametrize("factor", [Vec2(-1, 2), Vec2(2, -1)])
+    def test_negative_factor_rejected(self, factor):
+        form = HilbertSeriesForm(
+            numerator=((1, Vec2(0, 0)),), denominator_factors=(Vec2(1, 1), factor)
+        )
+        with pytest.raises(ValueError, match="has no power series"):
+            expand_series(form, EnumerationBox(3, 3))
+
     def test_dropped_numerator_term_witness(self, example_one):
         form = hilbert_numerator(example_one)
         broken = HilbertSeriesForm(
@@ -189,6 +230,89 @@ class TestSeriesExpansion:
             series = expand_series(hilbert_numerator(f), box)
             points = enumerate_semigroup(f, box)
             assert sum(series.coefficients.values()) == len(points)
+
+
+# Numerator coefficients around the 64- and 128-bit field edges: a field one
+# bit too narrow misreads them.
+LARGE_COEFFICIENTS = (2**62, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**127, 2**128)
+
+
+def _series_cases(st):
+    """(form, box): boxes down to one cap, numerator terms inside and outside
+    the box with small, large and negative coefficients (a degree may repeat),
+    and factors on either axis, inside and outside the box."""
+
+    @st.composite
+    def case(draw):
+        nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        coefficient = st.one_of(
+            st.integers(-3, 3),
+            st.sampled_from(LARGE_COEFFICIENTS),
+            st.sampled_from(LARGE_COEFFICIENTS).map(neg),
+        )
+        degree = st.builds(Vec2, st.integers(-1, nx + 1), st.integers(-1, ny + 1))
+        # a factor's coordinate: 0 (an axis), small (many passes) or past the box
+        def step(cap):
+            return st.one_of(st.just(0), st.integers(1, 2), st.integers(0, cap + 2))
+
+        factor = st.builds(Vec2, step(nx), step(ny)).filter(lambda g: not g.is_zero())
+        terms = st.lists(st.tuples(coefficient, degree), min_size=1, max_size=5)
+        form = HilbertSeriesForm(
+            numerator=tuple(draw(terms)),
+            denominator_factors=tuple(draw(st.lists(factor, max_size=4))),
+        )
+        return form, EnumerationBox(nx, ny)
+
+    return case()
+
+
+class TestPackedRows:
+    def test_matches_reference(self, hypothesis):
+        @property_settings(hypothesis)
+        @hypothesis.given(_series_cases(hypothesis.strategies))
+        def check(case):
+            form, box = case
+            expected = reference_expand_series(form, box).rows
+            assert expand_series(form, box).rows == expected
+
+        check()
+
+    def test_coefficients_past_64_bits(self):
+        # coefficient of t^(200, 0) in 1 / (1 - t^(1,0))^14 is C(213, 13)
+        form = HilbertSeriesForm(
+            numerator=((1, Vec2(0, 0)), (-1, Vec2(3, 2))),
+            denominator_factors=(Vec2(1, 0),) * 14 + (Vec2(0, 1), Vec2(2, 3)),
+        )
+        box = EnumerationBox(200, 40)
+        series = expand_series(form, box)
+        assert series.coefficient(Vec2(200, 0)) == math.comb(213, 13) > 2**63
+        assert series.rows == reference_expand_series(form, box).rows
+
+    def test_bump_past_64_bits_caught(self, example_one, monkeypatch):
+        # 2^64 vanishes mod 2^64: fixed 64-bit fields would pass this form
+        form = hilbert_numerator(example_one)
+        box = EnumerationBox(60, 90)
+        deg = max(d for _, d in form.numerator if d.x <= box.cap_x and d.y <= box.cap_y)
+        broken = bumped(form, deg, by=2**64)
+        result = hilbert_truncation_check(example_one, broken, box)
+        monkeypatch.setattr(verify, "expand_series", reference_expand_series)
+        expected = hilbert_truncation_check(example_one, broken, box)
+        assert not expected.passed
+        assert (result.passed, result.witness) == (False, expected.witness)
+
+    def test_peak_memory_at_most_the_reference(self):
+        form = hilbert_numerator(build_family(Vec2(2, 3), Vec2(2, 2), 4))
+        box = EnumerationBox(600, 600)
+
+        def peak(expand):
+            tracemalloc.start()
+            try:
+                expand(form, box)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(expand_series) <= peak(reference_expand_series)
 
 
 class TestTruncation:
