@@ -241,7 +241,8 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
     shifted up by g.y fields, to row x, for x rising; with g.x = 0 it
     multiplies each row by (1 + Y^g.y)(1 + Y^(2 g.y))(1 + Y^(4 g.y))...,
     doubling the shift while it fits in the row. Numerator terms and
-    factors outside the box cannot influence coefficients inside it.
+    factors outside the box are dropped; past its far edges they cannot
+    reach a coefficient inside it.
 
     The rows are decoded one at a time, each packed row freed as its list
     of ints takes its place: the row's bytes are read as signed w-bit
@@ -291,7 +292,7 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
                 int.from_bytes(data[i : i + field_bytes], "little", signed=True)
                 for i in range(0, nbytes, field_bytes)
             ]
-        # a field is negative iff the top byte of its field has its high bit set
+        # a field is negative iff its top byte has the high bit set
         if not data[field_bytes - 1 :: field_bytes].isascii():
             # a negative field borrowed 1 from the field above it, which so
             # reads one too low
