@@ -1,20 +1,34 @@
 """Exact multivariate polynomial arithmetic over Q with N^2 multigrading.
 
 Monomials are dense exponent tuples (the rings here have at most k+4
-variables), polynomials are monomial -> Fraction maps, and every computation
-is exact. The engine provides the three monomial orders the package needs
-(graded reverse lexicographic, lexicographic, block elimination), division
-with deterministic reducer selection, Buchberger's completion with the
-coprime-pair skip, and elimination-based toric kernels.
+variables), polynomials are monomial -> coefficient maps, and every
+computation is exact. The engine provides the three monomial orders the
+package needs (graded reverse lexicographic, lexicographic, block
+elimination), division with deterministic reducer selection, Buchberger's
+completion with the coprime-pair skip, and elimination-based toric kernels.
+
+A coefficient is an `int` when it is integral and a `Fraction` otherwise:
+`_coef` stores it so when a polynomial is built or scaled and when `reduce`
+divides a reducer's tail, and every division of coefficients is a
+`Fraction` division. Sums and products of non-integral coefficients may
+leave an integral `Fraction`, which equals and hashes as its int. Every
+ideal the package completes is a pure-difference binomial ideal, whose
+Buchberger steps keep every coefficient at +-1 (Eisenbud and Sturmfels,
+"Binomial ideals", Duke Math. J. 84 (1996), Prop. 1.1), so its arithmetic
+stays on ints.
 
 Each order compiles its key function once, when it is built, from
-`operator.itemgetter` over its precedence, and memoises it per order in a
-plain dict that fills on a miss and empties itself at `_KEY_MEMO_BOUND`
-entries. `order.key` is that dict's bound `__getitem__`, fetched by a
-C-level getter, so `order.key(m)`, `map(order.key, ...)` and
-`max(..., key=order.key)` run no Python frame on a memo hit; the property
-stays callable on the class, `MonomialOrder.key(order, m)`, which is how
-the benchmark's tracer counts key calls. Buchberger's pairs sit in a list
+`operator.itemgetter` over its precedence, into a flat tuple of ints:
+grevlex is (degree, -e_n, ..., -e_1) over its precedence, an elimination
+order the concatenation of its two blocks' grevlex keys (the head has a
+fixed length, so it compares as the pair), lex the exponents themselves.
+It memoises the key per order in a plain dict that fills on a miss and
+empties itself at `_KEY_MEMO_BOUND` entries. `order.key` is that dict's
+bound `__getitem__`, fetched by a C-level getter, so `order.key(m)`,
+`map(order.key, ...)` and `max(..., key=order.key)` run no Python frame on
+a memo hit; the property stays callable on the class,
+`MonomialOrder.key(order, m)`, which is how the benchmark's tracer counts
+key calls. Buchberger's pairs sit in a list
 sorted by (i, j), next to a parallel list of the lcms of their leading
 monomials, and each scan takes the first least key among
 `map(order.key, lcms)` at C level.
@@ -42,8 +56,8 @@ from .semigroup import SemigroupFamily, Witnessed
 
 Mono = tuple[int, ...]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+# a coefficient: an int when integral, else a Fraction (see _coef)
+Coef = Union[int, Fraction]
 
 # Entries per order in the key memo, which empties itself when it reaches
 # this size; `order.key` is the memo's own lookup, so a hit costs one dict
@@ -84,6 +98,15 @@ def mono_coprime(m1: Mono, m2: Mono) -> bool:
     return not any(map(min, m1, m2))
 
 
+def _coef(c) -> Coef:
+    """c as a stored coefficient: an int when integral, else a Fraction
+    (exact, so a float argument keeps its binary value)."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
@@ -112,13 +135,13 @@ class PolynomialRing:
     def monomial(self, exps: Mono, coeff=1) -> "Polynomial":
         if len(exps) != self.nvars:
             raise ValueError("exponent vector has wrong length")
-        c = Fraction(coeff)
+        c = _coef(coeff)
         return Polynomial(self, {tuple(exps): c} if c else {})
 
     def poly(self, terms: dict) -> "Polynomial":
         cleaned = {}
         for m, c in terms.items():
-            c = Fraction(c)
+            c = _coef(c)
             if c:
                 cleaned[tuple(m)] = c
         return Polynomial(self, cleaned)
@@ -159,7 +182,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, _F0) + c
+            nc = out.get(m, 0) + c
             if nc:
                 out[m] = nc
             else:
@@ -169,7 +192,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, _F0) - c
+            nc = out.get(m, 0) - c
             if nc:
                 out[m] = nc
             else:
@@ -181,11 +204,11 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            out: dict[Mono, Fraction] = {}
+            out: dict[Mono, Coef] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     m = mono_mul(m1, m2)
-                    nc = out.get(m, _F0) + c1 * c2
+                    nc = out.get(m, 0) + c1 * c2
                     if nc:
                         out[m] = nc
                     else:
@@ -197,21 +220,24 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coef(c)
         if not c:
             return Polynomial(self.ring, {})
-        return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
+        return Polynomial(
+            self.ring, {m: _coef(c * v) for m, v in self.terms.items()}
+        )
 
     def mul_monomial(self, mono: Mono, coeff=1) -> "Polynomial":
         if coeff == 1:
             return Polynomial(
                 self.ring, {tuple(map(add, m, mono)): v for m, v in self.terms.items()}
             )
-        c = Fraction(coeff)
+        c = _coef(coeff)
         if not c:
             return Polynomial(self.ring, {})
         return Polynomial(
-            self.ring, {mono_mul(m, mono): c * v for m, v in self.terms.items()}
+            self.ring,
+            {mono_mul(m, mono): _coef(c * v) for m, v in self.terms.items()},
         )
 
     def __eq__(self, other) -> bool:
@@ -277,13 +303,13 @@ def _picker(idxs: tuple[int, ...]) -> Callable[[Mono], tuple[int, ...]]:
 
 
 def _compile_grevlex(idxs: tuple[int, ...]) -> Callable[[Mono], tuple]:
-    """Total degree over idxs, then the negated exponents from the last
-    index to the first."""
+    """The flat tuple (total degree over idxs, then the negated exponents
+    from the last index to the first)."""
     pick = _picker(idxs[::-1])
 
     def key(m: Mono) -> tuple:
         exps = pick(m)
-        return (sum(exps), tuple(map(neg, exps)))
+        return (sum(exps), *map(neg, exps))
 
     return key
 
@@ -350,7 +376,7 @@ class MonomialOrder:
             tail = _compile_grevlex(prec[self.block :])
 
             def compiled(m: Mono) -> tuple:
-                return (head(m), tail(m))
+                return head(m) + tail(m)
 
         else:
             raise ValueError(f"unknown order kind {self.kind!r}")
@@ -382,7 +408,7 @@ def compare(order: MonomialOrder, m1: Mono, m2: Mono) -> int:
     return 0
 
 
-def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Mono, Fraction]:
+def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Mono, Coef]:
     terms = f.terms
     if not terms:
         raise ValueError("zero polynomial has no leading term")
@@ -396,7 +422,7 @@ def leading_monomial(f: Polynomial, order: MonomialOrder) -> Mono:
 
 def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     _, c = leading_term(f, order)
-    return f if c == 1 else f.scale(1 / c)
+    return f if c == 1 else f.scale(Fraction(1, c))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +436,15 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
     A step removes the leading term m = c*x^u and subtracts c * x^(u - lm(g))
     times the tail of g, the non-leading terms divided by lc(g): the leading
     terms cancel exactly, so they are never computed. Each reducer's tail is
-    built the first time it fires and kept for the rest of the call.
+    built the first time it fires and kept for the rest of the call, its
+    coefficients stored by `_coef` (exact `Fraction` division, ints where
+    integral), so a reducer with a +-1 leading coefficient and int tail
+    keeps every step on ints.
     """
     # one row per nonzero g: [lm, lc, tail (None until g first fires), g]
     reducers = [[*leading_term(g, order), None, g] for g in G if g.terms]
     work = dict(f.terms)
-    remainder: dict[Mono, Fraction] = {}
+    remainder: dict[Mono, Coef] = {}
     key = order.key
     while work:
         m = max(work, key=key)
@@ -427,14 +456,14 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
                 if tail is None:
                     lc = r[1]
                     tail = r[2] = [
-                        (gm, gc if lc == 1 else gc / lc)
+                        (gm, gc if lc == 1 else _coef(Fraction(gc, lc)))
                         for gm, gc in r[3].terms.items()
                         if gm != lm
                     ]
                 shift = tuple(map(sub, m, lm))
                 for gm, q in tail:
                     mm = tuple(map(add, gm, shift))
-                    nc = work.get(mm, _F0) - c * q
+                    nc = work.get(mm, 0) - c * q
                     if nc:
                         work[mm] = nc
                     else:
@@ -452,8 +481,8 @@ def s_polynomial(
     lmg, lcg = leading_term(g, order)
     gamma = mono_lcm(lmf, lmg)
     return f.mul_monomial(
-        mono_div(gamma, lmf), 1 if lcf == 1 else 1 / lcf
-    ) - g.mul_monomial(mono_div(gamma, lmg), 1 if lcg == 1 else 1 / lcg)
+        mono_div(gamma, lmf), 1 if lcf == 1 else Fraction(1, lcf)
+    ) - g.mul_monomial(mono_div(gamma, lmg), 1 if lcg == 1 else Fraction(1, lcg))
 
 
 @dataclass(frozen=True)
@@ -608,10 +637,10 @@ def is_s_homogeneous(f: Polynomial, grading: Grading) -> bool:
 
 def vanishes_under_degree_map(f: Polynomial, grading: Grading) -> bool:
     """Whether f maps to zero under x_i -> t^(deg x_i)."""
-    sums: dict[Vec2, Fraction] = {}
+    sums: dict[Vec2, Coef] = {}
     for m, c in f.terms.items():
         deg = multidegree(m, grading)
-        sums[deg] = sums.get(deg, _F0) + c
+        sums[deg] = sums.get(deg, 0) + c
     return all(v == 0 for v in sums.values())
 
 

@@ -241,8 +241,10 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
     shifted up by g.y fields, to row x, for x rising; with g.x = 0 it
     multiplies each row by (1 + Y^g.y)(1 + Y^(2 g.y))(1 + Y^(4 g.y))...,
     doubling the shift while it fits in the row. Numerator terms and
-    factors outside the box are dropped; past its far edges they cannot
-    reach a coefficient inside it.
+    factors past the box's far edges are dropped, as they cannot reach a
+    coefficient inside it. A numerator term with a negative coordinate
+    raises ValueError: the factors can carry it into the box, and rows start
+    at 0.
 
     The rows are decoded one at a time, each packed row freed as its list
     of ints takes its place: the row's bytes are read as signed w-bit
@@ -252,13 +254,16 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
     for g in form.denominator_factors:
         if not g.is_nonnegative() or g.is_zero():
             raise ValueError(f"denominator factor 1 - t^{g} has no power series in N^2")
+    for c, deg in form.numerator:
+        if not deg.is_nonnegative():
+            raise ValueError(f"numerator term {c}*t^{deg} has a negative exponent")
     nx, ny = box.cap_x, box.cap_y
     width = ny + 1
     w = (_coefficient_bound(form, box).bit_length() + 64) // 64 * 64
     full = (1 << (w * width)) - 1
     rows = [0] * (nx + 1)
     for c, deg in form.numerator:
-        if 0 <= deg.x <= nx and 0 <= deg.y <= ny:
+        if deg.x <= nx and deg.y <= ny:
             rows[deg.x] += c << (w * deg.y)
     rows = [row & full for row in rows]
     for gx, gy in form.denominator_factors:

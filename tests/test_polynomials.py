@@ -97,7 +97,26 @@ class TestOrders:
 
 
 def reference_key(order, m):
-    """The order key as the uncompiled formula, per kind."""
+    """The order key as the uncompiled flat formula, per kind: grevlex is
+    (degree, -e_n, ..., -e_1) over the precedence, elim the concatenation
+    of its blocks' grevlex keys."""
+
+    def grevlex_key(idxs):
+        return (sum(m[i] for i in idxs), *(-m[i] for i in reversed(idxs)))
+
+    if order.kind == "grevlex":
+        return grevlex_key(order.precedence)
+    if order.kind == "lex":
+        return tuple(m[i] for i in order.precedence)
+    head = order.precedence[: order.block]
+    tail = order.precedence[order.block :]
+    return grevlex_key(head) + grevlex_key(tail)
+
+
+def nested_reference_key(order, m):
+    """The nested key formula the flat one replaced: grevlex as (degree,
+    negated exponents as an inner tuple), elim as the pair of its blocks'
+    grevlex keys. The flat key must sort exactly as this one does."""
 
     def grevlex_key(idxs):
         return (sum(m[i] for i in idxs), tuple(-m[i] for i in reversed(idxs)))
@@ -124,7 +143,7 @@ def reference_reduce(f, G, order):
         for g, lm, lc in reducers:
             if polynomials.mono_divides(lm, m):
                 shift = polynomials.mono_div(m, lm)
-                factor = c / lc
+                factor = Fraction(c) / lc
                 for gm, gc in g.terms.items():
                     mm = polynomials.mono_mul(gm, shift)
                     nc = work.get(mm, Fraction(0)) - factor * gc
@@ -145,9 +164,9 @@ def reference_s_polynomial(f, g, order):
     lmf, lcf = leading_term(f, order)
     lmg, lcg = leading_term(g, order)
     gamma = polynomials.mono_lcm(lmf, lmg)
-    return f.mul_monomial(polynomials.mono_div(gamma, lmf), 1 / lcf) - g.mul_monomial(
-        polynomials.mono_div(gamma, lmg), 1 / lcg
-    )
+    return f.mul_monomial(
+        polynomials.mono_div(gamma, lmf), Fraction(1) / lcf
+    ) - g.mul_monomial(polynomials.mono_div(gamma, lmg), Fraction(1) / lcg)
 
 
 def reference_buchberger(gens, order):
@@ -200,6 +219,22 @@ class TestCompiledKeys:
             order = MonomialOrder("elim", prec, block=block)
             for m in self.monomials(rng):
                 assert order.key(m) == reference_key(order, m)
+
+    def test_flat_keys_sort_as_the_nested_keys(self, rng):
+        # every pair of sampled monomials, in every kind and at every block
+        monos = self.monomials(rng)
+        prec = tuple(rng.sample(range(self.N), self.N))
+        orders = [MonomialOrder("grevlex", prec), MonomialOrder("lex", prec)]
+        orders += [
+            MonomialOrder("elim", prec, block=b) for b in range(self.N + 1)
+        ]
+        for order in orders:
+            for m1, m2 in itertools.product(monos, repeat=2):
+                flat = (order.key(m1) > order.key(m2)) - (
+                    order.key(m1) < order.key(m2)
+                )
+                n1, n2 = (nested_reference_key(order, m) for m in (m1, m2))
+                assert flat == (n1 > n2) - (n1 < n2)
 
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown order kind 'deglex'"):
@@ -399,6 +434,88 @@ class TestEngineMatchesReference:
                 )
 
         check()
+
+
+def _only_exact_coefficients(*polys):
+    """Every coefficient is exactly an int or a Fraction: never a float,
+    which `int / int` would give."""
+    return all(type(c) in (int, Fraction) for p in polys for c in p.terms.values())
+
+
+class TestCoefficientTypes:
+    """Coefficients are ints where integral and Fractions otherwise, and no
+    operation turns one into a float."""
+
+    def test_no_operation_yields_a_float(self, hypothesis):
+        st = hypothesis.strategies
+        n = 3
+        ring = PolynomialRing(["x", "y", "z"])
+        # ints and non-integral Fractions, mixed within one polynomial
+        coefficients = st.one_of(
+            st.integers(-6, 6).filter(bool),
+            st.builds(Fraction, st.integers(-6, 6), st.integers(2, 4)).filter(
+                lambda c: c.denominator != 1
+            ),
+        )
+        polys = st.dictionaries(
+            _monomials(st, n, 2), coefficients, min_size=1, max_size=3
+        ).map(ring.poly)
+
+        @property_settings(hypothesis)
+        @hypothesis.given(st.data())
+        def check(data):
+            order = data.draw(_orders(st, n))
+            f, g, h = (data.draw(polys) for _ in range(3))
+            c = data.draw(coefficients)
+            shift = data.draw(_monomials(st, n, 2))
+            assert _only_exact_coefficients(
+                reduce(f, [g, h], order),
+                s_polynomial(f, g, order),
+                polynomials.monic(f, order),
+                f.scale(c),
+                f.mul_monomial(shift, c),
+                f + g,
+                f - g,
+                f * g,
+                *buchberger([g, h], order),
+            )
+            # a float quotient would also show as an inexact value: a lead
+            # that is not exactly 1, leading terms that fail to cancel
+            assert leading_term(polynomials.monic(f, order), order)[1] == 1
+            gamma = polynomials.mono_lcm(
+                leading_term(f, order)[0], leading_term(g, order)[0]
+            )
+            assert gamma not in s_polynomial(f, g, order).terms
+
+        check()
+
+    def test_toric_relations_complete_on_ints(self, example_two):
+        # x_i - t^(g_i): a pure-difference binomial ideal, so every
+        # coefficient of its reduced basis is an int (+-1)
+        n = 2 + len(example_two.all_generators)
+        big = PolynomialRing(
+            ("t1", "t2") + tuple(f"x{i}" for i in range(n - 2))
+        )
+        relations = []
+        for i, g in enumerate(example_two.all_generators):
+            x_exps = [0] * n
+            x_exps[2 + i] = 1
+            relations.append(big.binomial(tuple(x_exps), (*g, *[0] * (n - 2))))
+        gb = buchberger(relations, polynomials.elimination_order(2, n))
+        assert len(gb) > len(relations)
+        assert all(
+            type(c) is int and c in (1, -1) for g in gb for c in g.terms.values()
+        )
+
+    def test_integral_fraction_is_stored_as_its_int(self):
+        ring = PolynomialRing(["x", "y"])
+        m = (1, 2)
+        p = ring.poly({m: Fraction(2)})
+        assert p == ring.poly({m: 2})
+        assert hash(p) == hash(ring.poly({m: 2}))
+        assert type(p.terms[m]) is int
+        assert type(ring.monomial(m, Fraction(6, 3)).terms[m]) is int
+        assert type(ring.poly({m: Fraction(1, 2)}).terms[m]) is Fraction
 
 
 class TestSPolynomial:

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from itertools import accumulate
@@ -204,6 +205,17 @@ class TestRowOracles:
         with pytest.raises(ValueError, match="has no power series"):
             expand_series(form, EnumerationBox(3, 3))
 
+    @pytest.mark.parametrize("term", [Vec2(-1, 0), Vec2(0, -1)])
+    def test_negative_numerator_term_rejected(self, term):
+        # t^(-1,0) / (1 - t^(1,0)) has coefficient 1 at every (x, 0) of the
+        # box; dropping the term would expand it to all zeros
+        form = HilbertSeriesForm(
+            numerator=((1, Vec2(0, 0)), (1, term)),
+            denominator_factors=(Vec2(1, 0), Vec2(0, 1)),
+        )
+        with pytest.raises(ValueError, match=re.escape(f"numerator term 1*t^{term}")):
+            expand_series(form, EnumerationBox(3, 3))
+
     def test_dropped_numerator_term_witness(self, example_one):
         form = hilbert_numerator(example_one)
         broken = HilbertSeriesForm(
@@ -272,6 +284,13 @@ class TestPackedRows:
         @hypothesis.given(_series_cases(hypothesis.strategies))
         def check(case):
             form, box = case
+            # a term with a negative exponent is refused; the rest of the
+            # form must still expand as the reference does
+            kept = tuple((c, d) for c, d in form.numerator if d.is_nonnegative())
+            if kept != form.numerator:
+                with pytest.raises(ValueError, match="negative exponent"):
+                    expand_series(form, box)
+                form = HilbertSeriesForm(kept, form.denominator_factors)
             expected = reference_expand_series(form, box).rows
             assert expand_series(form, box).rows == expected
 
