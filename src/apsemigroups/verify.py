@@ -5,9 +5,11 @@ row one int used as a bitset. The truncated-series oracle expands the rational
 Hilbert form inside the same box, each row one int holding a signed w-bit field
 per coefficient (Kronecker substitution: the row polynomial evaluated at 2^w,
 exact mod 2^(w * row length) once w holds every final coefficient), so each
-denominator pass is one shift-add per row. The complex checker multiplies the
-stored resolution matrices out and evaluates the named minors. None of these
-reuse the closed forms they judge.
+denominator pass is one shift-add per row. The truncation check packs the
+enumerated points the same way and compares whole rows as ints, decoding only
+a row that differs. The complex checker multiplies the stored resolution
+matrices out and evaluates the named minors. None of these reuse the closed
+forms they judge.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ class EnumerationBox:
 
 
 # Ceiling on (cap_x + 1) * (cap_y + 1) for the truncation check. Its series
-# oracle holds the whole box: first packed, w bits per cell (w = 64 unless the
-# coefficients need more), then as the lists it returns, one slot per cell; it
-# swaps one for the other a row at a time, so the two are never all held.
+# oracle holds the whole box packed, w bits per cell (w = 64 unless the
+# coefficients need more), and the check compares those packed rows as they
+# are; only a caller that asks for the series' coefficients decodes them.
 _BOX_CELL_BUDGET = 1 << 24
 
 
@@ -90,28 +92,83 @@ def default_box(f: SemigroupFamily) -> EnumerationBox:
     return EnumerationBox(cap, cap)
 
 
+def _field_width(bound: int) -> int:
+    """The least multiple of 64 whose signed fields hold every |c| <= bound."""
+    return (bound.bit_length() + 64) // 64 * 64
+
+
+def _decode_row(packed: int, w: int, width: int) -> list[int]:
+    """The `width` coefficients that a packed row holds, lowest y first.
+
+    The row's bytes are read as signed w-bit fields, and the field above a
+    negative one, which lent it 1, gets that 1 back.
+    """
+    nbytes = w * width // 8
+    field_bytes = w // 8
+    data = packed.to_bytes(nbytes, "little")
+    if w == 64 and sys.byteorder == "little":
+        cells = memoryview(data).cast("q").tolist()
+    else:
+        cells = [
+            int.from_bytes(data[i : i + field_bytes], "little", signed=True)
+            for i in range(0, nbytes, field_bytes)
+        ]
+    # a field is negative iff its top byte has the high bit set
+    if not data[field_bytes - 1 :: field_bytes].isascii():
+        # a negative field borrowed 1 from the field above it, which so
+        # reads one too low
+        cells = [c + (below < 0) for c, below in zip(cells, [0] + cells)]
+    return cells
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Series coefficients inside the box, stored densely by row:
-    `rows[x][y]` is the coefficient of t^(x, y), for 0 <= x <= cap_x and
-    0 <= y <= cap_y."""
+    """Series coefficients inside the box, one packed int per row.
+
+    `packed[x]` encodes row x as the row polynomial sum_y c_y * Y^y, cut at
+    Y^cap_y, evaluated at Y = 2^w and kept mod 2^(w * (cap_y + 1)): the
+    coefficient of t^(x, y) is the signed w-bit field at bit w*y, plus 1 if
+    the field below it is negative. w holds every |c| < 2^(w - 1), so
+    the encoding is injective: two series are equal in a row iff their
+    packed ints are, and an all-zero row is 0. `rows`, `coefficients` and
+    `coefficient` decode on demand.
+    """
 
     box: EnumerationBox
-    rows: list[list[int]]
+    packed: list[int]
+    w: int
+
+    @classmethod
+    def from_rows(cls, box: EnumerationBox, rows: list[list[int]]) -> "TruncatedSeries":
+        """Pack plain rows, `rows[x][y]` the coefficient of t^(x, y), with
+        the least field width that holds them."""
+        w = _field_width(max((abs(c) for row in rows for c in row), default=0))
+        full = (1 << (w * (box.cap_y + 1))) - 1
+        packed = [sum(c << (w * y) for y, c in enumerate(row)) & full for row in rows]
+        return cls(box=box, packed=packed, w=w)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """`rows[x][y]` is the coefficient of t^(x, y), for 0 <= x <= cap_x
+        and 0 <= y <= cap_y."""
+        width = self.box.cap_y + 1
+        return [_decode_row(row, self.w, width) for row in self.packed]
 
     @property
     def coefficients(self) -> dict[Vec2, int]:
         """The nonzero coefficients, keyed by exponent."""
+        width = self.box.cap_y + 1
         return {
             Vec2(x, y): c
-            for x, row in enumerate(self.rows)
-            for y, c in enumerate(row)
+            for x, row in enumerate(self.packed)
+            if row
+            for y, c in enumerate(_decode_row(row, self.w, width))
             if c
         }
 
     def coefficient(self, v: Vec2) -> int:
         if 0 <= v.x <= self.box.cap_x and 0 <= v.y <= self.box.cap_y:
-            return self.rows[v.x][v.y]
+            return _decode_row(self.packed[v.x], self.w, self.box.cap_y + 1)[v.y]
         return 0
 
 
@@ -195,14 +252,16 @@ def enumerate_semigroup(f: SemigroupFamily, box: EnumerationBox) -> list[Vec2]:
     the origin (x = 0) or the union of rows x - g.x shifted up by g.y over
     the generators g, cut to the box, then closed under the generators on
     the y-axis. A point is reachable iff some generator steps back from it
-    to a reachable point, exactly as in the cell-by-cell definition.
+    to a reachable point, exactly as in the cell-by-cell definition. Only
+    the set bits of each row are visited, lowest first.
     """
-    return [
-        Vec2(x, y)
-        for x, row in enumerate(_semigroup_rows(f, box))
-        for y, bit in enumerate(bin(row)[:1:-1])
-        if bit == "1"
-    ]
+    points = []
+    for x, row in enumerate(_semigroup_rows(f, box)):
+        while row:
+            low = row & -row
+            points.append(Vec2(x, low.bit_length() - 1))
+            row ^= low
+    return points
 
 
 def _coefficient_bound(form: HilbertSeriesForm, box: EnumerationBox) -> int:
@@ -246,10 +305,8 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
     raises ValueError: the factors can carry it into the box, and rows start
     at 0.
 
-    The rows are decoded one at a time, each packed row freed as its list
-    of ints takes its place: the row's bytes are read as signed w-bit
-    fields, and the field above a negative one, which lent it 1, gets that
-    1 back.
+    The packed rows are returned as they are, with w: the TruncatedSeries
+    decodes a row only when asked for its coefficients.
     """
     for g in form.denominator_factors:
         if not g.is_nonnegative() or g.is_zero():
@@ -259,7 +316,7 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
             raise ValueError(f"numerator term {c}*t^{deg} has a negative exponent")
     nx, ny = box.cap_x, box.cap_y
     width = ny + 1
-    w = (_coefficient_bound(form, box).bit_length() + 64) // 64 * 64
+    w = _field_width(_coefficient_bound(form, box))
     full = (1 << (w * width)) - 1
     rows = [0] * (nx + 1)
     for c, deg in form.numerator:
@@ -282,28 +339,7 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
                     row = (row + (row << (w * step))) & full
                     step <<= 1
                 rows[x] = row
-    del full  # the passes are done: free it before the rows become lists
-    nbytes = w * width // 8
-    field_bytes = w // 8
-    for x in range(nx + 1):
-        # only `row` holds the packed row, freed once its bytes are taken
-        row, rows[x] = rows[x], None
-        data = row.to_bytes(nbytes, "little")
-        del row
-        if w == 64 and sys.byteorder == "little":
-            cells = memoryview(data).cast("q").tolist()
-        else:
-            cells = [
-                int.from_bytes(data[i : i + field_bytes], "little", signed=True)
-                for i in range(0, nbytes, field_bytes)
-            ]
-        # a field is negative iff its top byte has the high bit set
-        if not data[field_bytes - 1 :: field_bytes].isascii():
-            # a negative field borrowed 1 from the field above it, which so
-            # reads one too low
-            cells = [c + (below < 0) for c, below in zip(cells, [0] + cells)]
-        rows[x] = cells
-    return TruncatedSeries(box=box, rows=rows)
+    return TruncatedSeries(box=box, packed=rows, w=w)
 
 
 @_check("hilbert_truncation")
@@ -313,24 +349,25 @@ def hilbert_truncation_check(
     """Coefficient-for-coefficient agreement of the closed form with the
     enumerated semigroup: 1 on semigroup points, 0 elsewhere.
 
-    Each series row is compared whole with the row's expected 0/1 list, built
-    from the enumerated points one row at a time; only a row that differs is
-    scanned for its first differing cell.
+    Each packed series row is compared whole with the row the enumeration
+    expects, packed the same way: sum 2^(w*y) over the semigroup points
+    (x, y), so 0 for a row without points. The encoding is injective, so
+    equal ints mean equal rows. Only the first row that differs is decoded,
+    to name its first differing cell.
     """
-    member_ys: list[list[int]] = [[] for _ in range(box.cap_x + 1)]
-    for x, y in enumerate_semigroup(f, box):
-        member_ys[x].append(y)
+    points = enumerate_semigroup(f, box)
     series = expand_series(form, box)
-    width = box.cap_y + 1
-    for x, (row, ys) in enumerate(zip(series.rows, member_ys)):
-        expected = [0] * width
-        for y in ys:
-            expected[y] = 1
-        if row == expected:
-            continue
-        y = next(y for y, (got, want) in enumerate(zip(row, expected)) if got != want)
-        return False, f"coefficient at {Vec2(x, y)} is {row[y]}, expected {expected[y]}"
-    return True, None
+    w = series.w
+    expected = [0] * (box.cap_x + 1)
+    for x, y in points:
+        expected[x] |= 1 << (w * y)
+    if series.packed == expected:
+        return True, None
+    x = next(x for x, (row, e) in enumerate(zip(series.packed, expected)) if row != e)
+    got = _decode_row(series.packed[x], w, box.cap_y + 1)
+    want = _decode_row(expected[x], w, box.cap_y + 1)
+    y = next(y for y, (g, e) in enumerate(zip(got, want)) if g != e)
+    return False, f"coefficient at {Vec2(x, y)} is {got[y]}, expected {want[y]}"
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def reference_expand_series(form, box):
             for row in rows:
                 for r in range(g.y):
                     row[r :: g.y] = accumulate(row[r :: g.y])
-    return verify.TruncatedSeries(box=box, rows=rows)
+    return verify.TruncatedSeries.from_rows(box, rows)
 
 
 # (family, box): generators on the y-axis and on the x-axis, generators past
@@ -334,6 +334,137 @@ class TestPackedRows:
         assert peak(expand_series) <= peak(reference_expand_series)
 
 
+# Rows for the TruncatedSeries round trip, with the field width that packs
+# them: negative entries, a negative field under a positive one, all-zero
+# rows, and entries at the 64- and 128-bit field edges.
+ROUND_TRIP_ROWS = [
+    ([[1, -1, 0], [0, 0, 0], [-3, 5, -1]], 64),
+    ([[-1, 1, 2], [5, -7, 7], [-1, -1, 1]], 64),
+    ([[0, 0], [0, 0]], 64),
+    ([[2**63 - 1, -(2**63 - 1)], [0, 1]], 64),
+    ([[2**63, -1, 1], [0, 0, 0], [-(2**64), 2**64, -(2**127 - 1)]], 128),
+    ([[-(2**63), 2**63], [0, 0]], 128),
+    ([[2**127, -1], [-(2**127), 1]], 192),
+]
+
+
+class TestTruncatedSeries:
+    @pytest.mark.parametrize("rows, w", ROUND_TRIP_ROWS)
+    def test_from_rows_round_trip(self, rows, w):
+        box = EnumerationBox(len(rows) - 1, len(rows[0]) - 1)
+        series = verify.TruncatedSeries.from_rows(box, rows)
+        assert series.w == w
+        assert series.rows == rows
+        for x, row in enumerate(rows):
+            assert (series.packed[x] == 0) == (not any(row))
+            for y, c in enumerate(row):
+                assert series.coefficient(Vec2(x, y)) == c
+        assert series.coefficients == {
+            Vec2(x, y): c for x, row in enumerate(rows) for y, c in enumerate(row) if c
+        }
+        assert series.coefficient(Vec2(box.cap_x + 1, 0)) == 0
+        assert series.coefficient(Vec2(0, -1)) == 0
+
+    def test_from_rows_round_trip_property(self, hypothesis):
+        st = hypothesis.strategies
+        entry = st.one_of(
+            st.integers(-3, 3),
+            st.sampled_from(LARGE_COEFFICIENTS),
+            st.sampled_from(LARGE_COEFFICIENTS).map(neg),
+        )
+
+        @property_settings(hypothesis)
+        @hypothesis.given(st.integers(1, 5), st.integers(1, 5), st.data())
+        def check(nx, ny, data):
+            row = st.lists(entry, min_size=ny + 1, max_size=ny + 1)
+            rows = data.draw(st.lists(row, min_size=nx + 1, max_size=nx + 1))
+            series = verify.TruncatedSeries.from_rows(EnumerationBox(nx, ny), rows)
+            assert series.rows == rows
+
+        check()
+
+    def test_expansion_matches_from_rows(self, example_one):
+        # expand_series may pick a wider field than the rows need, but it
+        # encodes the same coefficients
+        form = hilbert_numerator(example_one)
+        box = EnumerationBox(60, 90)
+        series = expand_series(form, box)
+        packed = verify.TruncatedSeries.from_rows(box, series.rows)
+        assert packed.w == series.w == 64
+        assert packed.packed == series.packed
+
+
+def _witness_grid(f, box):
+    """Broken numerators of f's Hilbert form: +-1 on each numerator term in
+    the box, and +-1 and +-2^64 (a 128-bit field) on a numerator term, on a
+    semigroup point (a 2 there), on the top cell of row 0, on a cell of the
+    last row and on the last cell. A -1 off the semigroup is a negative field."""
+    form = hilbert_numerator(f)
+    points = set(enumerate_semigroup(f, box))
+    inside = [d for _, d in form.numerator if d.x <= box.cap_x and d.y <= box.cap_y]
+    point = min(p for p in points if p.x > 0)
+    # the top of row 0, so that a bump there reaches no other row
+    row_0 = max(Vec2(0, y) for y in range(box.cap_y + 1) if Vec2(0, y) not in points)
+    last_row = next(
+        Vec2(box.cap_x, y) for y in range(box.cap_y + 1) if Vec2(box.cap_x, y) not in points
+    )
+    last_cell = Vec2(box.cap_x, box.cap_y)
+    cases = [(d, by) for d in inside for by in (1, -1)]
+    for d in (inside[-1], point, row_0, last_row, last_cell):
+        cases += [(d, by) for by in (1, -1, 2**64, -(2**64))]
+    return [bumped(form, d, by) for d, by in cases]
+
+
+def reference_witness(f, form, box):
+    """(passed, witness) of the truncation check, cell by cell: the first
+    cell in x-major order where the reference series differs from the 0/1
+    indicator of the enumerated semigroup."""
+    points = set(enumerate_semigroup(f, box))
+    for x, row in enumerate(reference_expand_series(form, box).rows):
+        for y, c in enumerate(row):
+            want = int(Vec2(x, y) in points)
+            if c != want:
+                return False, f"coefficient at {Vec2(x, y)} is {c}, expected {want}"
+    return True, None
+
+
+class TestPackedCheck:
+    @pytest.mark.parametrize(
+        "params, box",
+        [
+            ((Vec2(5, 4), Vec2(4, 9), 3), EnumerationBox(60, 90)),
+            ((Vec2(2, 1), Vec2(1, 2), 2), EnumerationBox(14, 9)),
+        ],
+    )
+    def test_witness_matches_the_reference(self, params, box, monkeypatch):
+        f = build_family(*params)
+        forms = _witness_grid(f, box)
+        got = [hilbert_truncation_check(f, form, box) for form in forms]
+        monkeypatch.setattr(verify, "expand_series", reference_expand_series)
+        patched = [hilbert_truncation_check(f, form, box) for form in forms]
+        want = [reference_witness(f, form, box) for form in forms]
+        assert not any(passed for passed, _ in want)
+        assert [(r.passed, r.witness) for r in got] == want
+        assert [(r.passed, r.witness) for r in patched] == want
+
+    def test_passing_check_decodes_no_row(self, example_one, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a row was decoded")
+
+        monkeypatch.setattr(verify, "_decode_row", refuse)
+        wide = build_family(Vec2(40, 11), Vec2(20, 3), 4)
+        for f, box in [
+            (example_one, EnumerationBox(60, 90)),
+            (example_one, default_box(example_one)),
+            (wide, default_box(wide)),
+        ]:
+            assert hilbert_truncation_check(f, hilbert_numerator(f), box).passed
+        # the patch is live: a failing check decodes the row it names
+        broken = bumped(hilbert_numerator(example_one), Vec2(35, 57))
+        with pytest.raises(AssertionError, match="a row was decoded"):
+            hilbert_truncation_check(example_one, broken, EnumerationBox(60, 90))
+
+
 class TestTruncation:
     def test_showcase_box(self, example_one):
         form = hilbert_numerator(example_one)
@@ -362,9 +493,10 @@ class TestTruncation:
 
 
 def bumped(form, deg, by=5):
-    """form with `by` added to the numerator coefficient of t^deg."""
+    """form with `by` added to the numerator coefficient of t^deg (0 when
+    the numerator has no such term)."""
     num = form.numerator_dict()
-    num[deg] += by
+    num[deg] = num.get(deg, 0) + by
     return HilbertSeriesForm(
         numerator=tuple((c, d) for d, c in num.items()),
         denominator_factors=form.denominator_factors,
