@@ -121,7 +121,7 @@ def _decode_row(packed: int, w: int, width: int) -> list[int]:
     return cells
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedSeries:
     """Series coefficients inside the box, one packed int per row.
 
@@ -129,9 +129,10 @@ class TruncatedSeries:
     Y^cap_y, evaluated at Y = 2^w and kept mod 2^(w * (cap_y + 1)): the
     coefficient of t^(x, y) is the signed w-bit field at bit w*y, plus 1 if
     the field below it is negative. w holds every |c| < 2^(w - 1), so
-    the encoding is injective: two series are equal in a row iff their
-    packed ints are, and an all-zero row is 0. `rows`, `coefficients` and
-    `coefficient` decode on demand.
+    the encoding is injective: at one w, two rows hold the same
+    coefficients iff their packed ints are equal, and an all-zero row is 0.
+    `rows`, `coefficients` and `coefficient` decode on demand. Two series
+    are equal when their boxes and coefficients are, whatever their w.
     """
 
     box: EnumerationBox
@@ -146,6 +147,15 @@ class TruncatedSeries:
         full = (1 << (w * (box.cap_y + 1))) - 1
         packed = [sum(c << (w * y) for y, c in enumerate(row)) & full for row in rows]
         return cls(box=box, packed=packed, w=w)
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        if self.box != other.box:
+            return False
+        if self.w == other.w:
+            return self.packed == other.packed
+        return self.rows == other.rows
 
     @property
     def rows(self) -> list[list[int]]:

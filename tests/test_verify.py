@@ -62,12 +62,12 @@ def naive_series(form, box):
     }
 
 
-def reference_expand_series(form, box):
+def reference_rows(form, box):
     """The series as one dense list of ints per row. Each denominator factor
     is an in-place pass, coefficient(v) += coefficient(v - g): with g.x > 0 a
     slice addition per row, row x from g.y on plus row x - g.x (skipped when
     that row is all zero); with g.x = 0 a running sum along each residue
-    class of y mod g.y. The oracle for `expand_series`."""
+    class of y mod g.y."""
     nx, ny = box.cap_x, box.cap_y
     rows = [[0] * (ny + 1) for _ in range(nx + 1)]
     for c, deg in form.numerator:
@@ -88,7 +88,12 @@ def reference_expand_series(form, box):
             for row in rows:
                 for r in range(g.y):
                     row[r :: g.y] = accumulate(row[r :: g.y])
-    return verify.TruncatedSeries.from_rows(box, rows)
+    return rows
+
+
+def reference_expand_series(form, box):
+    """The dense reference rows, packed: the oracle for `expand_series`."""
+    return verify.TruncatedSeries.from_rows(box, reference_rows(form, box))
 
 
 # (family, box): generators on the y-axis and on the x-axis, generators past
@@ -331,7 +336,7 @@ class TestPackedRows:
             finally:
                 tracemalloc.stop()
 
-        assert peak(expand_series) <= peak(reference_expand_series)
+        assert peak(expand_series) <= peak(reference_rows)
 
 
 # Rows for the TruncatedSeries round trip, with the field width that packs
@@ -392,6 +397,22 @@ class TestTruncatedSeries:
         packed = verify.TruncatedSeries.from_rows(box, series.rows)
         assert packed.w == series.w == 64
         assert packed.packed == series.packed
+
+    def test_equality_is_by_coefficient(self):
+        # the bound counts 2^63 + 2^63 + 1, so expand_series packs the one
+        # nonzero coefficient into 128-bit fields
+        form = HilbertSeriesForm(
+            numerator=((2**63, Vec2(0, 0)), (-(2**63), Vec2(0, 0)), (1, Vec2(0, 0))),
+            denominator_factors=(),
+        )
+        box = EnumerationBox(2, 3)
+        series = expand_series(form, box)
+        rows = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        assert series.w == 128
+        assert series == verify.TruncatedSeries.from_rows(box, rows)
+        rows[2][3] = -1
+        assert series != verify.TruncatedSeries.from_rows(box, rows)
+        assert series != verify.TruncatedSeries.from_rows(EnumerationBox(3, 3), rows + [[0] * 4])
 
 
 def _witness_grid(f, box):
