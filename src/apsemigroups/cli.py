@@ -8,9 +8,11 @@ verify, which runs the truncation and elimination oracles.
 
 Output is deterministic (no timings), text by default or canonical JSON with
 --format json. Section builders put points, exponent tuples and ints into the
-document as they are; one encoder, `_plain`, then turns it into JSON values
-for both renderers, with integers beyond 2^53 as decimal strings so
-non-arbitrary-precision consumers cannot lose digits.
+document as they are. `_render_json` writes the JSON report from that
+document in one pass, in the json module's two-space-indent layout; the text
+renderer reads it through `_plain`, which turns it into JSON values. Both
+give integers beyond 2^53 as decimal strings so non-arbitrary-precision
+consumers cannot lose digits.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 invalid input.
 """
@@ -19,9 +21,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from .closed_forms import (
@@ -63,6 +66,59 @@ def _plain(v):
     if isinstance(v, int) and not isinstance(v, bool) and not -_BIG < v < _BIG:
         return str(v)
     return v
+
+
+def _render_json(doc) -> str:
+    """The JSON report: what the json module's encoder gives for `_plain(doc)`
+    at indent 2, written in one pass over the document."""
+    out = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+def _write_json(v, nl: str, out: list) -> None:
+    """Append the JSON text of v to out; nl is a newline and the current
+    indent. Dicts need str keys; tuples (points included) are arrays and
+    ints beyond 2^53 decimal strings, as in `_plain`. A plain recursive
+    function, so a call leaves no reference cycle behind."""
+    if type(v) is int:
+        out.append(int.__repr__(v) if -_BIG < v < _BIG else f'"{v}"')
+    elif type(v) is list or isinstance(v, tuple):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        start = len(out)
+        for x in v:
+            out.append(sep)
+            _write_json(x, inner, out)
+        out[start] = "[" + inner
+        out.append(nl + "]")
+    elif isinstance(v, str):
+        out.append(_json_str(v))
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        start = len(out)
+        for key, x in v.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _json_str(key) + ": ")
+            _write_json(x, inner, out)
+        out[start] = "{" + out[start][1:]
+        out.append(nl + "}")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif v is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _jpoly(p: Polynomial) -> dict:
@@ -353,14 +409,18 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    doc = _plain(doc)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(_render_text(doc))
-    if report is not None and not report.ok:
-        return 1
-    return 0
+    code = 1 if report is not None and not report.ok else 0
+    text = _render_json(doc) if args.format == "json" else _render_text(_plain(doc))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`... | head`): the verdict still stands, and
+        # stdout points at devnull so the exit-time flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,25 +14,28 @@ from typing import NamedTuple
 
 
 class Vec2(NamedTuple):
-    """A point of Z^2 (callers enforce nonnegativity where N^2 is required)."""
+    """A point of Z^2 (callers enforce nonnegativity where N^2 is required).
+
+    Arithmetic builds its result with `tuple.__new__`, skipping the named
+    tuple's Python-level `__new__`; the result is the same `Vec2`."""
 
     x: int
     y: int
 
     def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
+        return tuple.__new__(Vec2, (self.x + other.x, self.y + other.y))
 
     def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
+        return tuple.__new__(Vec2, (self.x - other.x, self.y - other.y))
 
     def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
+        return tuple.__new__(Vec2, (-self.x, -self.y))
 
     def __rmul__(self, n: int) -> "Vec2":
-        return Vec2(n * self.x, n * self.y)
+        return tuple.__new__(Vec2, (n * self.x, n * self.y))
 
     def __mul__(self, n: int) -> "Vec2":
-        return Vec2(n * self.x, n * self.y)
+        return tuple.__new__(Vec2, (n * self.x, n * self.y))
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0

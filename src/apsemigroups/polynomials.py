@@ -610,11 +610,12 @@ def family_grading(f: SemigroupFamily) -> Grading:
 
 
 def multidegree(m: Mono, grading: Grading) -> Vec2:
-    out = Vec2(0, 0)
+    x = y = 0
     for e, deg in zip(m, grading):
         if e:
-            out = out + e * deg
-    return out
+            x += e * deg.x
+            y += e * deg.y
+    return Vec2(x, y)
 
 
 def s_degree(f: Polynomial, grading: Grading) -> Vec2:

@@ -1,10 +1,17 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from apsemigroups.cli import main
-from conftest import run_fresh_python
+from apsemigroups import Vec2
+from apsemigroups.cli import _build, _parser, _plain, _render_json, _report_doc, main
+from conftest import property_settings, run_fresh_python
 
 
 def run(capsys, argv):
@@ -447,3 +454,167 @@ class TestParserReuse:
         assert "unrecognized arguments: --box-x 3" in in_sequence[2][2]
         for argv, got in zip(self.CALLS, in_sequence):
             assert got == self.run_in_fresh_process([argv])[0], argv
+
+
+def reference_render_json(doc) -> str:
+    """The JSON report as the json module's encoder writes it: the oracle for
+    `_render_json`."""
+    return json.dumps(_plain(doc), indent=2)
+
+
+def report_doc(argv):
+    """The raw (not yet encoded) document `main` renders for argv."""
+    args = _parser().parse_args(argv)
+    return _report_doc(_build(args), args)[0]
+
+
+EDGE_INTS = [
+    0, 1, -1, 2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 2**53 + 1, -(2**53 + 1),
+    2**64, -(2**80),
+]
+EDGE_STRINGS = [
+    "", '"', "\\", '"\\"', "\x00", "\x1f", "\x7f", "\n\t\r\b\f", "é", "ß€",
+    "\u2028", "\U0001f600", "\ud800",
+]
+
+
+class TestRenderJson:
+    """`_render_json` writes byte for byte what the json module writes for the
+    encoded document."""
+
+    def test_matches_the_json_module_on_nested_documents(self, hypothesis):
+        st = hypothesis.strategies
+        ints = st.integers() | st.sampled_from(EDGE_INTS)
+        strings = st.text() | st.sampled_from(EDGE_STRINGS)
+        leaves = (
+            ints
+            | strings
+            | st.booleans()
+            | st.none()
+            | st.builds(Vec2, ints, ints)
+        )
+        documents = st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(strings, inner, max_size=4),
+            max_leaves=40,
+        )
+
+        @property_settings(hypothesis)
+        @hypothesis.given(documents)
+        def check(doc):
+            assert _render_json(doc) == reference_render_json(doc)
+
+        check()
+
+    def test_edge_values_and_empty_containers(self):
+        doc = {
+            "ints": EDGE_INTS,
+            "strings": {text: text for text in EDGE_STRINGS},
+            "verdicts": (True, False, None),
+            "empty": [[], (), {}, {"": []}],
+            "points": [Vec2(2**60, -3), (Vec2(0, 0),)],
+        }
+        assert _render_json(doc) == reference_render_json(doc)
+        for leaf in [[], {}, (), 5, "x", None, True, Vec2(1, 2)]:
+            assert _render_json(leaf) == reference_render_json(leaf)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--a", "5,4", "--d", "4,9", "--k", "3"],
+            ["verify", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11"],
+            ["analyze", "--a", f"{2**60},1", "--d", "2,2", "--k", "2",
+             "--b", f"{2**60 + 1},2"],
+        ],
+    )
+    def test_matches_the_json_module_on_reports(self, argv):
+        doc = report_doc(argv)
+        assert _render_json(doc) == reference_render_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            1.5,
+            [Fraction(1, 2)],
+            {"a": {1: "x"}},
+            {(1, 2): 3},
+            {"s": {1, 2}},
+        ],
+    )
+    def test_other_values_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            _render_json(doc)
+
+    def test_rendering_leaves_no_garbage(self):
+        doc = report_doc(["verify", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11"])
+        gc.collect()
+        gc.disable()
+        try:
+            text = _render_json(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert text.startswith("{")
+
+
+class TestClosedStdout:
+    """A reader that has gone away (`verify ... | head -1`) does not turn the
+    verdict into a traceback: the exit code is still the verdict's."""
+
+    @staticmethod
+    def run_into_closed_pipe(*args):
+        """`python args` in a child whose stdout is a pipe without a reader:
+        the read end is closed before the child starts."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, *args],
+                cwd=root,
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "--a", "1,0", "--d", "0,1", "--k", "2", "--format", "json"], 0),
+            (["verify", "--a", "1,0", "--d", "0,1", "--k", "2"], 0),
+            (["extend", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11",
+              "--apery-cap", "1", "--format", "json"], 1),
+        ],
+    )
+    def test_exit_code_is_the_verdict(self, argv, code):
+        proc = self.run_into_closed_pipe("-m", "apsemigroups", *argv)
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        assert proc.returncode == code
+
+    def test_later_writes_to_stdout_are_harmless(self):
+        # after the broken pipe, stdout's descriptor is devnull, so what the
+        # process still prints goes nowhere instead of raising again
+        program = (
+            "import sys\n"
+            "from apsemigroups.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('more output')\n"
+            "sys.stdout.flush()\n"
+            "sys.exit(code)\n"
+        )
+        proc = self.run_into_closed_pipe(
+            "-c", program, "verify", "--a", "1,0", "--d", "0,1", "--k", "2"
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
