@@ -404,23 +404,30 @@ def main(argv=None) -> int:
         except ValueError as exc:
             error = exc
     for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
+        _emit(f"warning: {message}", sys.stderr)
     if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+        _emit(f"error: {error}", sys.stderr)
         return 2
 
     code = 1 if report is not None and not report.ok else 0
     text = _render_json(doc) if args.format == "json" else _render_text(_plain(doc))
-    try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone (`... | head`): the verdict still stands, and
-        # stdout points at devnull so the exit-time flush cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _emit(text, sys.stdout)
     return code
+
+
+def _emit(text: str, stream) -> None:
+    """Print text to stream (stdout or stderr) and flush it.
+
+    When the reader has gone (`... | head`, `... 2>&1 | true`), the exit code
+    still stands: the stream's descriptor then points at devnull, so later
+    writes and the exit-time flush cannot fail again."""
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

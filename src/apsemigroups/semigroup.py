@@ -1,17 +1,33 @@
 """Affine semigroups generated by a, a+d, ..., a+kd in N^2, plus one-vector
 extensions of them.
 
-Membership is decided by an exact depth-first search memoized on the residual
-vector; it terminates because every generator has positive coordinate sum.
-A memo entry depends only on the residual and the generator tuple, so callers
-that test many targets over one tuple share one memo dict across those calls
-(never across tuples, and never module-wide).
+Membership rests on level coordinates. With det(a, d) != 0 every v in Q^2 is
+uniquely m*a + n*d, and a sum of m generators a + i*d has n = the sum of the
+i's, which takes every value from 0 to m*k. So
+
+    S = {m*a + n*d : m, n integers, m >= 0, 0 <= n <= m*k},
+
+the semigroup of the rational normal curve of degree k, by the shape of the
+generators alone (no closed form is consulted). A generator tuple that is such
+a progression in N^2, optionally followed by one nonzero b in the closed cone
+of a and a+kd, gets a per-tuple level frame (`_level_frame`), and
+`member_certificate` answers over it by arithmetic: the same certificate the
+search below finds, at any coordinate size.
+
+Every other tuple is decided by an exact depth-first search memoized on the
+residual vector (`_dfs_certificate`); it terminates because every generator
+has positive coordinate sum. A memo entry depends only on the residual and the
+generator tuple, so callers that test many targets over one tuple share one
+memo dict across those calls (never across tuples, and never module-wide).
+Only that search reads or fills the memo.
 Apery sets come in two independent flavours, a closed form and a brute-force
 enumeration straight from the definition, so each can check the other.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,6 +100,172 @@ class Witnessed:
         return self.holds
 
 
+class _LevelFrame:
+    """Level coordinates of a progression a, a+d, ..., a+kd in N^2 with
+    det(a, d) != 0, optionally followed by one nonzero b in the closed cone of
+    a and a+kd.
+
+    v = m*a + n*d has m = det(v, d)/det(a, d) and n = det(a, v)/det(a, d), and
+    v lies in S iff m, n are integers with m >= 0 and 0 <= n <= m*k.
+
+    With b, let L = Za + Zd. S contains every point of L in the cone, so the
+    least multiple of b in S is its order mu in (L + Zb)/L, and v lies in
+    S + Nb iff v - j0*b lies in S for the one j0 in [0, mu) that puts it in L:
+    a larger j lowers to j0 by multiples of mu*b, which lie in S. Writing
+    h = gcd(det(b, d), det(a, b)) = x*det(b, d) + y*det(a, b) and
+    g = gcd(h, |det(a, d)|), the two congruences v - j*b in L combine into
+    j*h = x*det(v, d) + y*det(a, v) mod |det(a, d)|, so mu = |det(a, d)|/g
+    and j0 needs one modular inverse, of h/g mod mu, kept here.
+    """
+
+    __slots__ = ("ax", "ay", "dx", "dy", "det", "k", "size", "b", "jx", "jy", "g", "mu", "inv")
+
+    def __init__(self, a, d, k: int, b=None) -> None:
+        self.ax, self.ay = a
+        self.dx, self.dy = d
+        self.det = self.ax * self.dy - self.ay * self.dx
+        self.k = k
+        self.size = k + 1 if b is None else k + 2
+        self.b = b
+        if b is None:
+            return
+        bm, bn = self.level(b)
+        h = math.gcd(bm, bn)
+        x, y = _bezout(bm // h, bn // h)
+        # x*det(v, d) + y*det(a, v) as one linear form in v
+        self.jx = x * self.dy - y * self.ay
+        self.jy = y * self.ax - x * self.dx
+        self.g = math.gcd(h, abs(self.det))
+        self.mu = abs(self.det) // self.g
+        self.inv = pow(h // self.g, -1, self.mu)
+
+    def level(self, v) -> tuple[int, int]:
+        """(det(v, d), det(a, v)): v's level coordinates times det(a, d)."""
+        vx, vy = v
+        return vx * self.dy - vy * self.dx, self.ax * vy - self.ay * vx
+
+    def in_cone(self, v) -> bool:
+        """Whether v lies in the closed cone of a and a+kd."""
+        vm, vn = self.level(v)
+        s = self.det
+        return vm * s >= 0 and vn * s >= 0 and (self.k * vm - vn) * s >= 0
+
+    def base_level(self, vx: int, vy: int) -> Optional[tuple[int, int]]:
+        """(m, n) when (vx, vy) = m*a + n*d lies in the base semigroup
+        ⟨a, ..., a+kd⟩, else None."""
+        det = self.det
+        mm = vx * self.dy - vy * self.dx
+        nn = self.ax * vy - self.ay * vx
+        if mm % det or nn % det:
+            return None
+        m = mm // det
+        n = nn // det
+        if m < 0 or n < 0 or n > m * self.k:
+            return None
+        return m, n
+
+    def certificate(self, target) -> Optional[tuple[int, ...]]:
+        """The certificate `_dfs_certificate` finds for target, by arithmetic.
+
+        That search takes the lowest-index generator whose removal leaves a
+        member. Over the base tuple at level (m, n), with t = ceil(n/k), that
+        is a while n <= (m-1)*k, so c_0 = m - t; then g_(n-(t-1)k) once and
+        g_k for the remaining t - 1 levels. Over a glued tuple no base
+        generator can be taken from j*b with 0 < j < mu (mu is the least
+        multiple in S), and one can be taken from v whenever v - j0*b is not
+        0, so the search takes the base certificate of v - j0*b, then b j0
+        times.
+        """
+        vx, vy = target
+        b = self.b
+        if b is not None:
+            j = (vx * self.jx + vy * self.jy) // self.g * self.inv % self.mu
+            vx -= j * b[0]
+            vy -= j * b[1]
+        level = self.base_level(vx, vy)
+        if level is None:
+            return None
+        m, n = level
+        k = self.k
+        counts = [0] * self.size
+        t = -(-n // k)
+        counts[0] = m - t
+        if t:
+            counts[n - (t - 1) * k] += 1
+            counts[k] += t - 1
+        if b is not None:
+            counts[-1] = j
+        return tuple(counts)
+
+    def representations(self, target) -> list[tuple[int, ...]]:
+        """Every c with sum(c_i * g_i) == target over a base tuple, in
+        lexicographic order."""
+        out: list[tuple[int, ...]] = []
+        level = self.base_level(*target)
+        if level is not None:
+            self._extend(out, [0] * (self.k + 1), 0, *level)
+        return out
+
+    def _extend(self, out: list, counts: list[int], i: int, m: int, n: int) -> None:
+        """Append to out every representation of level (m, n) over g_i..g_k
+        that starts with counts[:i].
+
+        Taking c copies of g_i leaves (m - c, n - i*c), and g_(i+1)..g_k
+        reach exactly the levels (m', n') with (i+1)*m' <= n' <= k*m', so c
+        runs over the range that keeps the rest reachable: every branch
+        ends in a representation."""
+        k = self.k
+        if i == k:
+            counts[k] = m
+            out.append(tuple(counts))
+            counts[k] = 0
+            return
+        for c in range(max(0, (i + 1) * m - n), (k * m - n) // (k - i) + 1):
+            counts[i] = c
+            self._extend(out, counts, i + 1, m - c, n - i * c)
+        counts[i] = 0
+
+
+def _bezout(s: int, t: int) -> tuple[int, int]:
+    """x, y with x*s + y*t == 1, for coprime s and t."""
+    if abs(t) <= 1:
+        return (s, 0) if t == 0 else (0, t)
+    x = pow(s, -1, abs(t))
+    return x, (1 - x * s) // t
+
+
+def _progression(gens: tuple) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+    """(a, d) when gens is a, a+d, ..., a+kd in N^2 with k >= 1 and
+    det(a, d) != 0, else None."""
+    if len(gens) < 2:
+        return None
+    (ax, ay), (gx, gy) = gens[0], gens[1]
+    dx, dy = gx - ax, gy - ay
+    if ax * dy - ay * dx == 0:
+        return None
+    for i, (gx, gy) in enumerate(gens):
+        if gx != ax + i * dx or gy != ay + i * dy or gx < 0 or gy < 0:
+            return None
+    return (ax, ay), (dx, dy)
+
+
+# Bounded: one entry per generator tuple seen, and a long-lived process may
+# see many families.
+@functools.lru_cache(maxsize=256)
+def _level_frame(gens: tuple) -> Optional[_LevelFrame]:
+    """The tuple's level frame, or None when membership over it needs the
+    search: not a progression in N^2, nor one followed by a nonzero b in its
+    closed cone."""
+    base = _progression(gens)
+    if base is not None:
+        return _LevelFrame(*base, len(gens) - 1)
+    base = _progression(gens[:-1])
+    if base is None or gens[-1] == (0, 0):
+        return None
+    frame = _LevelFrame(*base, len(gens) - 2, gens[-1])
+    return frame if frame.in_cone(frame.b) else None
+
+
 def member_certificate(
     generators: Iterable[Vec2],
     target: Vec2,
@@ -91,8 +273,16 @@ def member_certificate(
 ) -> Optional[tuple[int, ...]]:
     """Nonnegative coefficients c with sum(c_i * g_i) == target, or None.
 
-    Exact and total: a None answer means the finite residual search space was
-    exhausted.
+    Exact and total: a None answer means the target is not a sum of the
+    generators. The certificate is the one `_dfs_certificate` finds, the
+    search that takes the lowest-index generator whose removal leaves a
+    member, whichever way it is computed.
+
+    A tuple with a level frame (a progression a, ..., a+kd in N^2 with
+    det(a, d) != 0, optionally followed by one nonzero b in the closed cone
+    of a and a+kd) is answered in O(1) arithmetic on the target's level
+    coordinates, whatever their size, and `memo` is left untouched. Every
+    other tuple runs the search, which is where `memo` is read and filled.
 
     `memo` maps a residual point u to the first generator index i for which
     u - g_i is zero or a member, or to -1 when u is not a member. That
@@ -102,6 +292,19 @@ def member_certificate(
     different tuples.
     """
     gens = tuple(generators)
+    frame = _level_frame(gens)
+    if frame is not None:
+        return frame.certificate(target)
+    return _dfs_certificate(gens, target, memo)
+
+
+def _dfs_certificate(
+    gens: tuple[Vec2, ...],
+    target: Vec2,
+    memo: Optional[dict[Vec2, int]] = None,
+) -> Optional[tuple[int, ...]]:
+    """`member_certificate` by the memoized residual search, for any tuple of
+    nonzero generators in N^2."""
     n = len(gens)
     tx, ty = target
     if tx < 0 or ty < 0:
@@ -168,8 +371,16 @@ def member_certificate(
 def all_representations(
     generators: Iterable[Vec2], target: Vec2
 ) -> list[tuple[int, ...]]:
-    """Every coefficient vector representing target over the generators."""
+    """Every coefficient vector representing target over the generators, in
+    lexicographic order.
+
+    Over a progression a, ..., a+kd with a level frame the search visits only
+    branches that end in a representation (`_LevelFrame.representations`).
+    """
     gens = tuple(generators)
+    frame = _level_frame(gens)
+    if frame is not None and frame.b is None:
+        return frame.representations(target)
     n = len(gens)
     out: list[tuple[int, ...]] = []
     counts = [0] * n
@@ -329,23 +540,28 @@ def apery_bruteforce(
     if cap is None:
         cap = 4 * (f.extension_mu or 1)
 
-    first_layer: dict[Vec2, int] = {ZERO: 0}
-    frontier = {ZERO}
+    # The layers are built on bare (x, y) pairs, which hash and compare as
+    # the Vec2 of the same coordinates; only the Apery elements become Vec2s.
+    first_layer: dict[tuple[int, int], int] = {(0, 0): 0}
+    frontier = [(0, 0)]
     for layer in range(1, cap + 1):
-        nxt = set()
-        for u in frontier:
-            for g in gens:
-                w = u + g
+        nxt = []
+        for ux, uy in frontier:
+            for gx, gy in gens:
+                w = (ux + gx, uy + gy)
                 if w not in first_layer:
                     first_layer[w] = layer
-                    nxt.add(w)
+                    nxt.append(w)
         frontier = nxt
 
-    elements = {
-        v
-        for v in first_layer
-        if all(member_certificate(gens, v - e, memo) is None for e in rays)
-    }
+    elements = []
+    for v in first_layer:
+        vx, vy = v
+        for ex, ey in rays:
+            if member_certificate(gens, (vx - ex, vy - ey), memo) is not None:
+                break
+        else:
+            elements.append(v)
     if any(first_layer[v] == cap for v in elements):
         warnings.warn(
             CapTooSmall(
@@ -354,7 +570,8 @@ def apery_bruteforce(
             ),
             stacklevel=2,
         )
-    return AperySet(base=rays, elements=frozenset(elements))
+    elements = frozenset(Vec2(x, y) for x, y in elements)
+    return AperySet(base=rays, elements=elements)
 
 
 def _max_by_divisibility(f: SemigroupFamily, elements: frozenset[Vec2]) -> list[Vec2]:
