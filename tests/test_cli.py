@@ -559,33 +559,37 @@ class TestRenderJson:
         assert text.startswith("{")
 
 
+def run_into_closed_pipe(*args, closed=("stdout",)):
+    """`python args` in a child whose `closed` streams go to a pipe
+    without a reader (its read end is closed before the child starts);
+    the other streams are captured."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {
+        name: write_end if name in closed else subprocess.PIPE
+        for name in ("stdout", "stderr")
+    }
+    try:
+        return subprocess.run(
+            [sys.executable, *args],
+            cwd=root,
+            env=env,
+            text=True,
+            timeout=120,
+            **streams,
+        )
+    finally:
+        os.close(write_end)
+
+
 class TestClosedStdout:
     """A reader that has gone away (`verify ... | head -1`) does not turn the
     verdict into a traceback: the exit code is still the verdict's."""
-
-    @staticmethod
-    def run_into_closed_pipe(*args):
-        """`python args` in a child whose stdout is a pipe without a reader:
-        the read end is closed before the child starts."""
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(root / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            return subprocess.run(
-                [sys.executable, *args],
-                cwd=root,
-                env=env,
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                timeout=120,
-            )
-        finally:
-            os.close(write_end)
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -597,7 +601,7 @@ class TestClosedStdout:
         ],
     )
     def test_exit_code_is_the_verdict(self, argv, code):
-        proc = self.run_into_closed_pipe("-m", "apsemigroups", *argv)
+        proc = run_into_closed_pipe("-m", "apsemigroups", *argv)
         assert "Traceback" not in proc.stderr
         assert "BrokenPipeError" not in proc.stderr
         assert proc.returncode == code
@@ -613,8 +617,51 @@ class TestClosedStdout:
             "sys.stdout.flush()\n"
             "sys.exit(code)\n"
         )
-        proc = self.run_into_closed_pipe(
+        proc = run_into_closed_pipe(
             "-c", program, "verify", "--a", "1,0", "--d", "0,1", "--k", "2"
         )
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 0
+
+
+class TestClosedStderr:
+    """The `warning:` and `error:` lines go through the same guard as the
+    report: a reader of stderr that has gone changes neither the exit code
+    nor stdout."""
+
+    INVALID = ["verify", "--a", "1,0", "--d", "0,0", "--k", "2"]
+    CAPPED = ["extend", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11",
+              "--apery-cap", "1", "--format", "json"]
+
+    @pytest.mark.parametrize("closed", [("stderr",), ("stdout", "stderr")])
+    def test_invalid_input_exits_2(self, closed):
+        proc = run_into_closed_pipe("-m", "apsemigroups", *self.INVALID, closed=closed)
+        assert proc.returncode == 2
+        if proc.stdout is not None:
+            assert proc.stdout == ""
+
+    def test_report_survives_a_warning_into_a_closed_pipe(self, capsys):
+        code, expected, err = run(capsys, self.CAPPED)
+        assert err.startswith("warning: ")
+        proc = run_into_closed_pipe("-m", "apsemigroups", *self.CAPPED, closed=("stderr",))
+        assert proc.returncode == code == 1
+        assert proc.stdout == expected
+
+
+class TestGluedBudget:
+    """`analyze` and `verify` on a glued family with mu = 21 stay inside the
+    5 s budget of ROADMAP aim 3 (each took over 10 s while membership ran
+    the residual search)."""
+
+    ARGV = ["--a", "7,0", "--d", "4,3", "--k", "2", "--b", "9,2", "--format", "json"]
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_mu_21_family(self, capsys, command):
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, [command, *self.ARGV])
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"{command} took {elapsed:.2f}s"
+        assert code == 0
+        assert doc["extension"]["mu"] == 21
+        assert doc["extension"]["apery_bruteforce"] == doc["extension"]["apery"]
+        assert len(doc["extension"]["apery"]) == 42

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,214 @@ class TestMembershipProperties:
                 assert (expected is None) == (not all_representations(gens, v))
 
         check()
+
+
+def reference_all_representations(generators, target):
+    """Every representation by the unpruned search over all coefficient
+    ranges, as `all_representations` ran before it pruned progressions."""
+    gens = tuple(generators)
+    n = len(gens)
+    out = []
+    counts = [0] * n
+
+    def rec(i, residual):
+        if residual.is_zero():
+            out.append(tuple(counts))
+            return
+        if i == n:
+            return
+        g = gens[i]
+        cmax = residual.coord_sum() // g.coord_sum()
+        if g.x > 0:
+            cmax = min(cmax, residual.x // g.x)
+        if g.y > 0:
+            cmax = min(cmax, residual.y // g.y)
+        for c in range(cmax + 1):
+            counts[i] = c
+            rec(i + 1, residual - c * g)
+        counts[i] = 0
+
+    if target.is_nonnegative():
+        rec(0, target)
+    return out
+
+
+def assert_certificates_match_the_search(gens, box):
+    """The arithmetic certificate equals the search's on every cell of the
+    box, and a certificate resums to its target."""
+    memo = {}
+    for x in range(-1, box):
+        for y in range(-1, box):
+            cert = member_certificate(gens, Vec2(x, y))
+            assert cert == semigroup._dfs_certificate(gens, (x, y), memo), (gens, x, y)
+            if cert is not None:
+                assert resum(gens, cert) == (x, y)
+
+
+def resum(gens, cert):
+    return (
+        sum(c * g[0] for c, g in zip(cert, gens)),
+        sum(c * g[1] for c, g in zip(cert, gens)),
+    )
+
+
+def progression(a, d, k, *extra):
+    return tuple(Vec2(a[0] + i * d[0], a[1] + i * d[1]) for i in range(k + 1)) + tuple(
+        Vec2(*e) for e in extra
+    )
+
+
+class TestLevelFrame:
+    """Membership over progression tuples by level coordinates, against the
+    residual search it replaces there."""
+
+    def test_random_base_and_glued_families(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coords = st.tuples(st.integers(0, 9), st.integers(0, 9))
+        extension = st.none() | st.tuples(st.integers(0, 15), st.integers(0, 15))
+
+        @hypothesis.settings(
+            max_examples=120, derandomize=True, database=None, deadline=None
+        )
+        @hypothesis.given(coords, coords, st.integers(2, 6), extension)
+        def check(a, d, k, b):
+            try:
+                f = build_family(Vec2(*a), Vec2(*d), k, b and Vec2(*b), mu_bound=30)
+            except FamilyError:
+                hypothesis.assume(False)
+            gens = f.all_generators
+            frame = semigroup._level_frame(gens)
+            assert frame is not None
+            assert frame.b == f.extension
+            if f.is_extended:
+                assert frame.mu == f.extension_mu
+            assert_certificates_match_the_search(gens, 36)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "gens, framed",
+        [
+            # k = 1
+            (progression((2, 1), (1, 2), 1), True),
+            # a decreasing progression, and the same points in reverse
+            (progression((4, 0), (-1, 1), 2), True),
+            (progression((2, 2), (1, -1), 2), True),
+            # k = 1 followed by b
+            (progression((3, 1), (0, 2), 1, (3, 2)), True),
+            # b in S, and b repeating a generator
+            (progression((1, 0), (0, 1), 2, (2, 3)), True),
+            (progression((1, 0), (0, 1), 2, (1, 1)), True),
+            # b on either ray of the cone (mu = 2)
+            (progression((2, 0), (0, 1), 2, (1, 0)), True),
+            (progression((2, 0), (0, 1), 2, (1, 1)), True),
+            # b outside the cone: the search decides
+            (progression((2, 1), (1, 2), 2, (1, 0)), False),
+            (progression((2, 1), (1, 2), 2, (0, 3)), False),
+            # a repeated generator that is not b, and no progression at all
+            (progression((1, 0), (0, 1), 2, (1, 1), (1, 1)), False),
+            ((Vec2(1, 0), Vec2(1, 0), Vec2(0, 1)), False),
+            ((Vec2(3, 1), Vec2(1, 2), Vec2(2, 2), Vec2(1, 1)), False),
+            # a progression that leaves N^2, and a single generator
+            (progression((2, 0), (-1, 1), 3), False),
+            ((Vec2(2, 1),), False),
+        ],
+    )
+    def test_fixed_tuples(self, gens, framed):
+        assert (semigroup._level_frame(gens) is not None) == framed
+        assert_certificates_match_the_search(gens, 30)
+
+    def test_apery_elements_are_vec2(self, example_two):
+        # the layers are bare int pairs; the elements handed back are not
+        elements = apery_bruteforce(example_two).elements
+        assert len(elements) == 6
+        assert all(type(e) is Vec2 for e in elements)
+
+    def test_memo_is_left_to_the_search(self, example_two):
+        memo = {}
+        member_certificate(example_two.all_generators, Vec2(40, 50), memo)
+        assert memo == {}
+        others = example_two.generators[:1] + example_two.generators[2:]
+        member_certificate(others, Vec2(40, 50), memo)
+        assert memo
+
+    def test_pruned_representations_match_the_unpruned_search(self, rng):
+        tuples = [progression((4, 0), (-1, 1), 4), progression((2, 1), (1, 2), 1)]
+        tuples += [random_family(rng, k).generators for k in (2, 3, 4, 5) for _ in range(3)]
+        for gens in tuples:
+            for x in range(-1, 40, 3):
+                for y in range(-1, 40, 3):
+                    v = Vec2(x, y)
+                    assert all_representations(gens, v) == reference_all_representations(
+                        gens, v
+                    ), (gens, v)
+        for k in (2, 3, 4):
+            f = random_extended_family(rng, k)
+            target = f.extension_mu * f.extension
+            for gens in (f.generators, f.all_generators):
+                expected = reference_all_representations(gens, target)
+                assert all_representations(gens, target) == expected
+
+
+class TestLevelFrameScale:
+    """Membership at large coordinates and large mu costs the same as at
+    small ones (ROADMAP aim 3)."""
+
+    HUGE = 2**60
+
+    @pytest.mark.parametrize("glued", [False, True])
+    def test_certificates_near_2_to_the_60(self, glued):
+        b = Vec2(9, 11) if glued else None
+        small = build_family(Vec2(2, 3), Vec2(2, 2), 3, b).all_generators
+        big = progression((self.HUGE + 3, 7), (5, self.HUGE - 1), 3, *([(3, 5)] if glued else []))
+        for gens in (small, big):
+            m, n = self.HUGE // 7, self.HUGE // 5
+            base = Vec2(m * gens[0].x, m * gens[0].y) + n * (gens[1] - gens[0])
+            targets = [base, base + Vec2(1, 0)]
+            if glued:
+                targets += [base + 3 * gens[-1], base + (2**59 + 1) * gens[-1]]
+            start = time.perf_counter()
+            certs = [member_certificate(gens, v) for v in targets]
+            assert time.perf_counter() - start < 0.05
+            assert certs[0] is not None
+            for v, cert in zip(targets, certs):
+                if cert is not None:
+                    assert min(cert) >= 0
+                    assert resum(gens, cert) == v
+
+    def test_frame_does_not_grow_with_mu(self):
+        # det(a, d) = 2^60 and b = (1, 1) has order 2^60 over Za + Zd
+        gens = progression((1, 0), (0, self.HUGE), 2, (1, 1))
+        start = time.perf_counter()
+        frame = semigroup._level_frame.__wrapped__(gens)
+        target = (self.HUGE + 5, 3 * self.HUGE - 1)
+        cert = frame.certificate(target)
+        assert time.perf_counter() - start < 0.05
+        assert frame.mu == self.HUGE
+        assert cert == (5, 0, 1, self.HUGE - 1)
+        assert resum(gens, cert) == target
+        # a fixed set of ints (plus b): no table indexed by j or by coordinates
+        fields = {s: getattr(frame, s) for s in frame.__slots__ if s != "b"}
+        assert all(type(v) is int for v in fields.values())
+
+    def test_build_family_at_mu_93(self):
+        a, d, b = Vec2(31, 0), Vec2(7, 9), Vec2(40, 3)
+        best = float("inf")
+        for _ in range(3):
+            semigroup._level_frame.cache_clear()
+            start = time.perf_counter()
+            f = build_family(a, d, 10, b, mu_bound=100)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.1, f"build_family took {best:.3f}s"
+        assert f.extension_mu == 93
+        qualifying = [
+            rep
+            for rep in all_representations(f.generators, 93 * b)
+            if rep[0] != 0 or rep[-1] != 0
+        ]
+        assert len(qualifying) == 4242
+        assert f.extension_lambda == max(qualifying)
 
 
 class TestExtremalRays:
