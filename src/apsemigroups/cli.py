@@ -8,11 +8,11 @@ verify, which runs the truncation and elimination oracles.
 
 Output is deterministic (no timings), text by default or canonical JSON with
 --format json. Section builders put points, exponent tuples and ints into the
-document as they are. `_render_json` writes the JSON report from that
-document in one pass, in the json module's two-space-indent layout; the text
-renderer reads it through `_plain`, which turns it into JSON values. Both
-give integers beyond 2^53 as decimal strings so non-arbitrary-precision
-consumers cannot lose digits.
+document as they are, and both renderers read that one document.
+`_render_json` writes it in one pass, in the json module's two-space-indent
+layout, with integers beyond 2^53 as decimal strings so
+non-arbitrary-precision consumers cannot lose digits; `_render_text` prints
+the same digits.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 invalid input.
 """
@@ -56,21 +56,10 @@ _RECONCILIATION = (
 )
 
 
-def _plain(v):
-    """The document as JSON values: tuples (points included) become lists and
-    ints beyond 2^53 their decimal strings; bools and None stay as they are."""
-    if isinstance(v, dict):
-        return {key: _plain(x) for key, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    if isinstance(v, int) and not isinstance(v, bool) and not -_BIG < v < _BIG:
-        return str(v)
-    return v
-
-
 def _render_json(doc) -> str:
-    """The JSON report: what the json module's encoder gives for `_plain(doc)`
-    at indent 2, written in one pass over the document."""
+    """The JSON report: what the json module's encoder gives at indent 2 for
+    the document with tuples (points included) as lists and ints beyond 2^53
+    as their decimal strings, written in one pass over the document."""
     out = []
     _write_json(doc, "\n", out)
     return "".join(out)
@@ -79,8 +68,8 @@ def _render_json(doc) -> str:
 def _write_json(v, nl: str, out: list) -> None:
     """Append the JSON text of v to out; nl is a newline and the current
     indent. Dicts need str keys; tuples (points included) are arrays and
-    ints beyond 2^53 decimal strings, as in `_plain`. A plain recursive
-    function, so a call leaves no reference cycle behind."""
+    ints beyond 2^53 decimal strings. A plain recursive function, so a call
+    leaves no reference cycle behind."""
     if type(v) is int:
         out.append(int.__repr__(v) if -_BIG < v < _BIG else f'"{v}"')
     elif type(v) is list or isinstance(v, tuple):
@@ -207,16 +196,16 @@ def _checks_section(report: Report) -> list:
     ]
 
 
-def _pt(v: list) -> str:
+def _pt(v) -> str:
     return f"({v[0]},{v[1]})"
 
 
-def _pts(vs: list) -> str:
+def _pts(vs) -> str:
     return ", ".join(map(_pt, vs))
 
 
 def _render_text(doc: dict) -> str:
-    """The text report, read from the plain (already encoded) document."""
+    """The text report, read from the same document as `_render_json`."""
     lines = []
     fam = doc["family"]
     lines.append(f"family: a={_pt(fam['a'])} d={_pt(fam['d'])} k={fam['k']}")
@@ -251,14 +240,14 @@ def _render_text(doc: dict) -> str:
     if "hilbert" in doc:
         terms = doc["hilbert"]["numerator_terms"]
         body = " ".join(
-            f"{'+' if int(c) > 0 else '-'} {abs(int(c))}*t^{_pt(d)}"
+            f"{'+' if c > 0 else '-'} {abs(c)}*t^{_pt(d)}"
             for c, d in terms
         )
         lines.append("hilbert numerator: " + body)
         dens = " ".join(f"(1 - t^{_pt(g)})" for g in doc["hilbert"]["denominator"])
         lines.append("hilbert denominator: " + dens)
     if "resolution" in doc:
-        lines.append(f"betti numbers: {doc['resolution']['betti']}")
+        lines.append(f"betti numbers: {list(doc['resolution']['betti'])}")
         for i, layer in enumerate(doc["resolution"]["shifts"]):
             pretty = ", ".join(f"{m}x{_pt(d)}" for m, d in layer)
             lines.append(f"  C_{i}: {pretty}")
@@ -269,7 +258,7 @@ def _render_text(doc: dict) -> str:
         lines.append(f"gluing: mu={ext['mu']} lambda=({', '.join(str(c) for c in ext['lambda'])})")
         lines.append("extra generator: " + ext["extra_generator"]["text"])
         if "betti" in ext:
-            lines.append(f"extended betti numbers: {ext['betti']}")
+            lines.append(f"extended betti numbers: {list(ext['betti'])}")
         if "reconciliation" in ext:
             lines.append("note: " + ext["reconciliation"])
     if "checks" in doc:
@@ -410,7 +399,7 @@ def main(argv=None) -> int:
         return 2
 
     code = 1 if report is not None and not report.ok else 0
-    text = _render_json(doc) if args.format == "json" else _render_text(_plain(doc))
+    text = _render_json(doc) if args.format == "json" else _render_text(doc)
     _emit(text, sys.stdout)
     return code
 

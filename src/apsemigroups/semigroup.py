@@ -14,12 +14,11 @@ of a and a+kd, gets a per-tuple level frame (`_level_frame`), and
 `member_certificate` answers over it by arithmetic: the same certificate the
 search below finds, at any coordinate size.
 
-Every other tuple is decided by an exact depth-first search memoized on the
-residual vector (`_dfs_certificate`); it terminates because every generator
-has positive coordinate sum. A memo entry depends only on the residual and the
-generator tuple, so callers that test many targets over one tuple share one
-memo dict across those calls (never across tuples, and never module-wide).
-Only that search reads or fills the memo.
+Every other tuple is decided by an exact depth-first search over residual
+vectors (`_dfs_certificate`), which keeps what it learns for one call only. It
+needs every generator to have positive coordinate sum, so that each step
+lowers the residual's sum and the search terminates; it raises ValueError on
+a generator that has not.
 Apery sets come in two independent flavours, a closed form and a brute-force
 enumeration straight from the definition, so each can check the other.
 """
@@ -267,9 +266,7 @@ def _level_frame(gens: tuple) -> Optional[_LevelFrame]:
 
 
 def member_certificate(
-    generators: Iterable[Vec2],
-    target: Vec2,
-    memo: Optional[dict[Vec2, int]] = None,
+    generators: Iterable[Vec2], target: Vec2
 ) -> Optional[tuple[int, ...]]:
     """Nonnegative coefficients c with sum(c_i * g_i) == target, or None.
 
@@ -281,30 +278,36 @@ def member_certificate(
     A tuple with a level frame (a progression a, ..., a+kd in N^2 with
     det(a, d) != 0, optionally followed by one nonzero b in the closed cone
     of a and a+kd) is answered in O(1) arithmetic on the target's level
-    coordinates, whatever their size, and `memo` is left untouched. Every
-    other tuple runs the search, which is where `memo` is read and filled.
-
-    `memo` maps a residual point u to the first generator index i for which
-    u - g_i is zero or a member, or to -1 when u is not a member. That
-    depends only on u and the generators, so a caller may pass one dict to
-    every call over the same generator tuple, in any order, and get the
-    certificate a fresh search gives. It must never be shared across
-    different tuples.
+    coordinates, whatever their size. Every other tuple runs the search,
+    which needs every generator to have positive coordinate sum: it raises
+    ValueError naming the first generator that has not.
     """
     gens = tuple(generators)
     frame = _level_frame(gens)
     if frame is not None:
         return frame.certificate(target)
-    return _dfs_certificate(gens, target, memo)
+    return _dfs_certificate(gens, target)
+
+
+def _require_positive_sums(gens: tuple) -> None:
+    """Raise ValueError on the first generator whose coordinate sum is not
+    positive: the searches below lower the residual's sum at every step and
+    would never end on it."""
+    for gx, gy in gens:
+        if gx + gy <= 0:
+            raise ValueError(
+                f"generator ({gx}, {gy}) has coordinate sum {gx + gy}; "
+                "membership search needs every sum positive"
+            )
 
 
 def _dfs_certificate(
-    gens: tuple[Vec2, ...],
-    target: Vec2,
-    memo: Optional[dict[Vec2, int]] = None,
+    gens: tuple[Vec2, ...], target: Vec2
 ) -> Optional[tuple[int, ...]]:
-    """`member_certificate` by the memoized residual search, for any tuple of
-    nonzero generators in N^2."""
+    """`member_certificate` by the residual search, memoized within the call,
+    for any tuple of generators with positive coordinate sums (ValueError
+    otherwise)."""
+    _require_positive_sums(gens)
     n = len(gens)
     tx, ty = target
     if tx < 0 or ty < 0:
@@ -317,8 +320,7 @@ def _dfs_certificate(
     # explicit DFS stack below always terminates. Residuals are built as bare
     # pairs, which hash and compare as the Vec2 of the same coordinates but
     # cost far less to make.
-    if memo is None:
-        memo = {}
+    memo: dict[tuple[int, int], int] = {}
     stack: list[list] = [[target, 0]]
     while stack:
         frame = stack[-1]
@@ -376,20 +378,22 @@ def all_representations(
 
     Over a progression a, ..., a+kd with a level frame the search visits only
     branches that end in a representation (`_LevelFrame.representations`).
+    Any other tuple needs every generator to have positive coordinate sum
+    (ValueError otherwise).
     """
     gens = tuple(generators)
     frame = _level_frame(gens)
     if frame is not None and frame.b is None:
         return frame.representations(target)
+    _require_positive_sums(gens)
     n = len(gens)
     out: list[tuple[int, ...]] = []
     counts = [0] * n
 
     def rec(i: int, residual: Vec2) -> None:
         if residual.is_zero():
-            tail_zero = all(c == 0 for c in counts[i:])
-            if tail_zero:
-                out.append(tuple(counts))
+            # counts[i:] is still zero: rec(i, .) is entered before g_i is set
+            out.append(tuple(counts))
             return
         if i == n:
             return
@@ -414,21 +418,19 @@ def _validate_extension(
 ) -> tuple[int, tuple[int, ...]]:
     if not (b.is_nonnegative() and not b.is_zero()):
         raise BadExtension(f"extension vector {b} must be a nonzero point of N^2")
-    memo: dict[Vec2, int] = {}
-    if member_certificate(base_generators, b, memo) is not None:
+    if member_certificate(base_generators, b) is not None:
         raise BadExtension(f"{b} already lies in the base semigroup")
     # The base semigroup lies in the cone spanned by its extremal rays, and a
     # multiple of b lies in that cone only when b does: a b outside it has no
     # mu, whatever the bound, so stop before the loop.
-    r1, r2 = base_generators[0], base_generators[-1]
-    side = det(r1, r2)
-    if det(r1, b) * side < 0 or det(b, r2) * side < 0:
+    if not _level_frame(base_generators).in_cone(b):
         raise BadExtension(
-            f"extension vector {b} lies outside the cone spanned by {r1} and {r2}"
+            f"extension vector {b} lies outside the cone spanned by "
+            f"{base_generators[0]} and {base_generators[-1]}"
         )
     mu = None
     for m in range(2, mu_bound + 1):
-        if member_certificate(base_generators, m * b, memo) is not None:
+        if member_certificate(base_generators, m * b) is not None:
             mu = m
             break
     if mu is None:
@@ -467,7 +469,6 @@ def build_family(
 
     generators = tuple(a + i * d for i in range(k + 1))
     for j, g in enumerate(generators):
-        # a fresh memo each time: every g is tested against its own tuple
         others = generators[:j] + generators[j + 1 :]
         cert = member_certificate(others, g)
         if cert is not None:
@@ -531,11 +532,10 @@ def apery_bruteforce(
     gens = f.all_generators
     rays = E if E is not None else extremal_rays(f)
     rays = tuple(rays)
-    memo: dict[Vec2, int] = {}
     for e in rays:
         if e.is_zero():
             raise ValueError("Apery base elements must be nonzero")
-        if member_certificate(gens, e, memo) is None:
+        if member_certificate(gens, e) is None:
             raise ValueError(f"Apery base element {e} is not in the semigroup")
     if cap is None:
         cap = 4 * (f.extension_mu or 1)
@@ -558,7 +558,7 @@ def apery_bruteforce(
     for v in first_layer:
         vx, vy = v
         for ex, ey in rays:
-            if member_certificate(gens, (vx - ex, vy - ey), memo) is not None:
+            if member_certificate(gens, (vx - ex, vy - ey)) is not None:
                 break
         else:
             elements.append(v)
@@ -576,11 +576,10 @@ def apery_bruteforce(
 
 def _max_by_divisibility(f: SemigroupFamily, elements: frozenset[Vec2]) -> list[Vec2]:
     gens = f.all_generators
-    memo: dict[Vec2, int] = {}
     maximal = []
     for m in elements:
         dominated = any(
-            m2 != m and member_certificate(gens, m2 - m, memo) is not None
+            m2 != m and member_certificate(gens, m2 - m) is not None
             for m2 in elements
         )
         if not dominated:

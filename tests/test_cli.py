@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from apsemigroups import Vec2
-from apsemigroups.cli import _build, _parser, _plain, _render_json, _report_doc, main
+from apsemigroups.cli import _build, _parser, _render_json, _report_doc, main
 from conftest import property_settings, run_fresh_python
 
 
@@ -454,6 +454,21 @@ class TestParserReuse:
         assert "unrecognized arguments: --box-x 3" in in_sequence[2][2]
         for argv, got in zip(self.CALLS, in_sequence):
             assert got == self.run_in_fresh_process([argv])[0], argv
+
+
+_BIG = 2**53
+
+
+def _plain(v):
+    """The document as JSON values: tuples (points included) become lists and
+    ints beyond 2^53 their decimal strings; bools and None stay as they are."""
+    if isinstance(v, dict):
+        return {key: _plain(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if isinstance(v, int) and not isinstance(v, bool) and not -_BIG < v < _BIG:
+        return str(v)
+    return v
 
 
 def reference_render_json(doc) -> str:

@@ -1,3 +1,6 @@
+import contextlib
+import inspect
+import signal
 import time
 from fractions import Fraction
 
@@ -153,42 +156,104 @@ class TestMembership:
         cert = is_member(example_two, Vec2(9, 11))
         assert cert == (0, 0, 0, 0, 1)
 
-    def test_shared_memo_gives_the_fresh_certificate(self, rng):
-        families = [random_family(rng, k) for k in (2, 3, 4) for _ in range(2)]
-        families += [random_extended_family(rng, k) for k in (2, 3) for _ in range(2)]
-        targets = [Vec2(x, y) for x in range(36) for y in range(36)]
-        for f in families:
-            gens = f.all_generators
-            memo = {}
-            rng.shuffle(targets)
-            for v in targets:
-                assert member_certificate(gens, v, memo) == member_certificate(gens, v)
+    def test_signature_is_generators_and_target(self):
+        assert list(inspect.signature(member_certificate).parameters) == [
+            "generators",
+            "target",
+        ]
 
-    def test_memos_are_shared_within_one_generator_tuple_only(self, monkeypatch, rng):
-        # build_family's minimality loop tests each generator against a
-        # different tuple, so one memo there would break the contract
-        from apsemigroups import semigroup, verify
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSearchPrecondition:
+    """The residual search lowers the residual's coordinate sum at every
+    step, so a generator whose sum is not positive is refused up front."""
+
+    @pytest.mark.parametrize(
+        "gens, target, bad",
+        [
+            ((Vec2(0, 0), Vec2(1, 0)), Vec2(1, 0), r"\(0, 0\)"),
+            ((Vec2(1, -1), Vec2(-1, 1)), Vec2(1, 1), r"\(1, -1\)"),
+        ],
+    )
+    def test_member_certificate_refuses(self, gens, target, bad):
+        start = time.perf_counter()
+        with time_limit(0.5), pytest.raises(ValueError, match=f"generator {bad}"):
+            member_certificate(gens, target)
+        assert time.perf_counter() - start < 0.1
+
+    def test_all_representations_refuses_the_zero_generator(self):
+        start = time.perf_counter()
+        with time_limit(0.5), pytest.raises(ValueError, match=r"generator \(0, 0\)"):
+            all_representations((Vec2(0, 0), Vec2(1, 0)), Vec2(1, 0))
+        assert time.perf_counter() - start < 0.1
+
+    def test_positive_sums_with_a_negative_coordinate_stay_searchable(self):
+        # every generator of this progression has coordinate sum 2
+        gens = progression((2, 0), (-1, 1), 3)
+        assert semigroup._level_frame(gens) is None
+        with time_limit(5):
+            assert member_certificate(gens, Vec2(4, 2)) == (2, 0, 1, 0)
+            assert member_certificate(gens, Vec2(1, 0)) is None
+            assert all_representations(gens, Vec2(2, 2)) == [(0, 2, 0, 0), (1, 0, 1, 0)]
+
+
+class TestSearchPremise:
+    """Every membership call the package makes is answered by level
+    coordinates, save the search over the k - 1 tuples that build_family's
+    minimality loop makes by removing a middle generator (none at k = 2,
+    where removing a+d leaves the progression a, a+2d)."""
+
+    FAMILIES = [
+        ["--a", "5,4", "--d", "4,9", "--k", "3"],
+        ["--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11"],
+        ["--a", "7,0", "--d", "4,3", "--k", "2", "--b", "9,2"],
+    ]
+
+    @pytest.mark.parametrize("argv", FAMILIES, ids=["base", "glued", "mu21"])
+    def test_only_the_minimality_loop_searches(self, monkeypatch, capsys, argv):
+        from apsemigroups import cli, verify
 
         original = semigroup.member_certificate
-        tuples_by_memo = {}
-        memos = []  # keeps every memo alive, so no id is reused
+        calls = {}  # the tuples called over, as an ordered set
 
-        def spy(generators, target, memo=None):
+        def spy(generators, target):
             gens = tuple(generators)
-            if memo is not None:
-                memos.append(memo)
-                assert tuples_by_memo.setdefault(id(memo), gens) == gens
-            return original(gens, target, memo)
+            calls.setdefault(gens)
+            return original(gens, target)
 
         monkeypatch.setattr(semigroup, "member_certificate", spy)
         monkeypatch.setattr(verify, "member_certificate", spy)
-        f = build_family(Vec2(2, 3), Vec2(2, 2), 3, Vec2(9, 11))
-        verify.full_report(f, verify.VerifyOptions(include_toric=False))
-        for k in (2, 3, 4):
-            quasi_frobenius(random_family(rng, k))
-        first = len(memos)
-        apery_bruteforce(f)
-        assert len({id(m) for m in memos[first:]}) == 1
+
+        def searched():
+            out = [gens for gens in calls if semigroup._level_frame(gens) is None]
+            calls.clear()
+            return out
+
+        f = cli._build(cli._parser().parse_args(["analyze"] + argv))
+        gens, k = f.generators, f.k
+        middles = [gens[:j] + gens[j + 1 :] for j in range(1, k)] if k > 2 else []
+        assert searched() == middles
+        verify.full_report(f)
+        assert calls and searched() == []
+        for command in ("analyze", "verify"):
+            assert cli.main([command] + argv) == 0
+            capsys.readouterr()
+            assert calls and searched() == middles
 
 
 def reference_member_certificate(generators, target, memo=None):
@@ -267,9 +332,8 @@ class TestMembershipProperties:
         def check(gens, vs):
             memo = {}
             for v in vs:
-                expected = reference_member_certificate(gens, v)
+                expected = reference_member_certificate(gens, v, memo)
                 assert member_certificate(gens, v) == expected
-                assert member_certificate(gens, v, memo) == expected
                 assert (expected is None) == (not all_representations(gens, v))
 
         check()
@@ -306,13 +370,13 @@ def reference_all_representations(generators, target):
 
 
 def assert_certificates_match_the_search(gens, box):
-    """The arithmetic certificate equals the search's on every cell of the
+    """The certificate equals the reference search's on every cell of the
     box, and a certificate resums to its target."""
     memo = {}
     for x in range(-1, box):
         for y in range(-1, box):
             cert = member_certificate(gens, Vec2(x, y))
-            assert cert == semigroup._dfs_certificate(gens, (x, y), memo), (gens, x, y)
+            assert cert == reference_member_certificate(gens, Vec2(x, y), memo), (gens, x, y)
             if cert is not None:
                 assert resum(gens, cert) == (x, y)
 
@@ -396,14 +460,6 @@ class TestLevelFrame:
         elements = apery_bruteforce(example_two).elements
         assert len(elements) == 6
         assert all(type(e) is Vec2 for e in elements)
-
-    def test_memo_is_left_to_the_search(self, example_two):
-        memo = {}
-        member_certificate(example_two.all_generators, Vec2(40, 50), memo)
-        assert memo == {}
-        others = example_two.generators[:1] + example_two.generators[2:]
-        member_certificate(others, Vec2(40, 50), memo)
-        assert memo
 
     def test_pruned_representations_match_the_unpruned_search(self, rng):
         tuples = [progression((4, 0), (-1, 1), 4), progression((2, 1), (1, 2), 1)]
