@@ -1,7 +1,7 @@
 """Explicit answers for the progression families: the quadratic binomial
-generating set of the defining ideal, its five-block partition, the minimal
-graded free resolutions and Hilbert numerators for k = 2, 3, 4, regularity,
-and the one-extra-generator gluing data for extended families.
+generating set of the defining ideal, its five-block partition, the Hilbert
+numerator for every k, the minimal graded free resolutions for k = 2, 3, 4,
+regularity, and the one-extra-generator gluing data for extended families.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from .semigroup import (
     extremal_rays,
 )
 
-# The paper gives resolutions and Hilbert series for these k only (the rest for all k).
+# The k whose resolution matrices (and extended Betti numbers) are typed in
+# from the paper; everything else, the Hilbert numerator included, is
+# computed for every k.
 _STORED_K = (2, 3, 4)
 
 # ---------------------------------------------------------------------------
@@ -283,17 +285,15 @@ class HilbertSeriesForm:
 
 
 def hilbert_numerator(f: SemigroupFamily) -> HilbertSeriesForm:
-    """Closed-form Hilbert numerator for k = 2, 3, 4.
+    """Closed-form Hilbert numerator, for every k.
 
-    k[S] is Cohen-Macaulay, so its Hilbert series is the sum of t^w over
-    Ap(S, E) divided by the two extremal-ray factors. Over the full
+    k[S] is Cohen-Macaulay for every k, so its Hilbert series is the sum of
+    t^w over Ap(S, E) divided by the two extremal-ray factors. Over the full
     denominator the numerator is that sum times (1 - t^g) for every other
     generator g. For extended families b is one of them, and the Apery set
     is Ap(S_base, E) + {0, b, ..., (mu-1)b}, so the numerator is the base
     one times (1 - t^(mu*b)), matching the one-step mapping cone.
     """
-    if f.k not in _STORED_K:
-        raise UnsupportedK(f"no closed-form numerator for k = {f.k}")
     num = dict.fromkeys(_closed_form_apery_elements(f), 1)
     for g in f.generators[1:-1] + ((f.extension,) if f.is_extended else ()):
         for deg, c in list(num.items()):

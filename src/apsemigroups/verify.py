@@ -15,7 +15,6 @@ forms they judge.
 from __future__ import annotations
 
 import functools
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -86,8 +85,9 @@ _BOX_CELL_BUDGET = 1 << 24
 
 def default_box(f: SemigroupFamily) -> EnumerationBox:
     # 3x the largest generator coordinate. For some k = 4 families and most
-    # glued ones this leaves Hilbert-numerator terms outside the box, where
-    # the truncation check cannot see a wrong coefficient (ROADMAP item 2).
+    # k >= 5 and glued ones this leaves Hilbert-numerator terms outside the
+    # box, where the truncation check cannot see a wrong coefficient
+    # (ROADMAP item 2).
     cap = 3 * max(max(g.x, g.y) for g in f.all_generators)
     return EnumerationBox(cap, cap)
 
@@ -106,13 +106,10 @@ def _decode_row(packed: int, w: int, width: int) -> list[int]:
     nbytes = w * width // 8
     field_bytes = w // 8
     data = packed.to_bytes(nbytes, "little")
-    if w == 64 and sys.byteorder == "little":
-        cells = memoryview(data).cast("q").tolist()
-    else:
-        cells = [
-            int.from_bytes(data[i : i + field_bytes], "little", signed=True)
-            for i in range(0, nbytes, field_bytes)
-        ]
+    cells = [
+        int.from_bytes(data[i : i + field_bytes], "little", signed=True)
+        for i in range(0, nbytes, field_bytes)
+    ]
     # a field is negative iff its top byte has the high bit set
     if not data[field_bytes - 1 :: field_bytes].isascii():
         # a negative field borrowed 1 from the field above it, which so
@@ -536,9 +533,8 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
     opts = options or VerifyOptions()
     box = opts.box or default_box(f)
     stored = f.k in _STORED_K
-    truncation = opts.include_truncation and stored
     cells = (box.cap_x + 1) * (box.cap_y + 1)
-    if truncation and cells > _BOX_CELL_BUDGET:
+    if opts.include_truncation and cells > _BOX_CELL_BUDGET:
         raise BoxTooLarge(
             f"truncation box {box.cap_x + 1} x {box.cap_y + 1} has {cells} cells, "
             f"over the limit of {_BOX_CELL_BUDGET} cells"
@@ -654,8 +650,8 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
 
     checks.append(gastinger_check(f))
 
-    # Hilbert series and resolution: stored for k in _STORED_K; regularity: every k.
-    if truncation:
+    # Hilbert series and regularity: every k; resolution: k in _STORED_K.
+    if opts.include_truncation:
         checks.append(hilbert_truncation_check(f, hilbert_numerator(f), box))
     if stored and not f.is_extended:
         res = resolution(f)

@@ -157,9 +157,12 @@ class TestOtherCommands:
         assert code == 0
         assert doc["hilbert"]["denominator"] == [[2, 1], [3, 3], [4, 5]]
 
-    def test_hilbert_unsupported_k_exit_2(self, capsys):
-        code, _, err = run(capsys, ["hilbert", "--a", "2,1", "--d", "1,2", "--k", "5"])
-        assert code == 2
+    def test_hilbert_k5(self, capsys):
+        code, doc, _ = run_json(capsys, ["hilbert", "--a", "2,1", "--d", "1,2", "--k", "5"])
+        assert code == 0
+        generators = [[2 + i, 1 + 2 * i] for i in range(6)]
+        assert doc["family"]["generators"] == generators
+        assert doc["hilbert"]["denominator"] == generators
 
     def test_resolution(self, capsys):
         code, doc, _ = run_json(capsys, ["resolution", "--a", "3,1", "--d", "1,3", "--k", "4"])

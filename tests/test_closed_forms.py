@@ -2,6 +2,7 @@ import pytest
 
 from apsemigroups import (
     BadIndex,
+    EnumerationBox,
     NotHomogeneous,
     Polynomial,
     UnsupportedK,
@@ -16,6 +17,7 @@ from apsemigroups import (
     generating_set,
     gluing_data,
     hilbert_numerator,
+    hilbert_truncation_check,
     progression_ring,
     qf_extended,
     quasi_frobenius,
@@ -308,10 +310,14 @@ class TestHilbertNumerator:
         assert form.numerator_dict() == expected
         assert len(form.denominator_factors) == 5
 
-    def test_unsupported_k(self):
+    def test_k6_numerator_passes_truncation(self):
+        # no resolution is stored at k = 6; the numerator is checked against
+        # the enumerated semigroup in a box holding its top degree
         f = build_family(Vec2(2, 1), Vec2(1, 2), 6)
-        with pytest.raises(UnsupportedK):
-            hilbert_numerator(f)
+        form = hilbert_numerator(f)
+        assert form.denominator_factors == f.generators
+        cover = EnumerationBox(*map(max, zip(*(d for _, d in form.numerator))))
+        assert hilbert_truncation_check(f, form, cover).passed
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_paper_numerator(self, rng, k):

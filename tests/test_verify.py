@@ -110,6 +110,16 @@ EDGE_CASES = [
 ]
 
 
+# (family, box) at k >= 5, where no resolution is stored: each box holds the
+# numerator's top degree.
+HIGH_K = [
+    ((Vec2(2, 1), Vec2(1, 2), 5), EnumerationBox(24, 33)),
+    ((Vec2(1, 2), Vec2(1, 0), 6), EnumerationBox(26, 12)),
+    ((Vec2(3, 1), Vec2(1, 3), 7), EnumerationBox(50, 90)),
+    ((Vec2(1, 2), Vec2(2, 1), 8), EnumerationBox(78, 51)),
+]
+
+
 class TestEnumeration:
     def test_tiny_box_only_origin(self, example_one):
         assert enumerate_semigroup(example_one, EnumerationBox(1, 1)) == [Vec2(0, 0)]
@@ -172,7 +182,7 @@ class TestRowOracles:
                 v = Vec2(x, y)
                 assert series.coefficient(v) == expected.get(v, 0)
 
-    @pytest.mark.parametrize("params,box", EDGE_CASES)
+    @pytest.mark.parametrize("params,box", EDGE_CASES + HIGH_K)
     def test_truncation_passes(self, params, box):
         f = build_family(*params)
         assert hilbert_truncation_check(f, hilbert_numerator(f), box).passed
@@ -530,14 +540,16 @@ def bumped(form, deg, by=5):
 OUTSIDE_DEFAULT_BOX = [
     ((Vec2(2, 3), Vec2(2, 2), 3, Vec2(9, 11)), Vec2(34, 41)),
     ((Vec2(9, 5), Vec2(1, 2), 4, None), Vec2(45, 38)),
+    ((Vec2(1, 2), Vec2(1, 0), 6, None), Vec2(26, 12)),
+    ((Vec2(2, 3), Vec2(2, 2), 5, Vec2(7, 9)), Vec2(52, 61)),
 ]
 
 
 class TestDefaultBoxCoverage:
     @pytest.mark.xfail(
         strict=True,
-        reason="default_box misses Hilbert-numerator terms at k = 4 and for glued "
-        "families; widening it changes the benchmark's pinned box cells",
+        reason="default_box misses Hilbert-numerator terms at k = 4, at k >= 5 and "
+        "for glued families; widening it changes the benchmark's pinned box cells",
     )
     @pytest.mark.parametrize("params, deg", OUTSIDE_DEFAULT_BOX)
     def test_perturbed_top_term_caught_by_default_box(self, params, deg):
@@ -707,17 +719,18 @@ IDEAL = [
     "gastinger",
 ]
 # family -> every check name full_report gives it, in order, with the toric
-# and truncation oracles on; k = 5 has no stored resolution or numerator
+# and truncation oracles on; k = 5 has no stored resolution
 FULL_CHECKS = {
     (Vec2(5, 4), Vec2(4, 9), 3, None): HEAD
     + ["normality_of_base_family", *IDEAL, "hilbert_truncation", "complex_check"]
     + ["numerator_equals_shift_sum", "regularity_is_2"],
     (Vec2(5, 4), Vec2(4, 9), 5, None): HEAD
-    + ["normality_of_base_family", *IDEAL, "regularity_is_2"],
+    + ["normality_of_base_family", *IDEAL, "hilbert_truncation", "regularity_is_2"],
     (Vec2(2, 3), Vec2(2, 2), 2, Vec2(3, 4)): HEAD
     + [*IDEAL, "hilbert_truncation", "extended_betti_match_mapping_cone"]
     + ["gluing_consistency"],
-    (Vec2(2, 3), Vec2(2, 2), 5, Vec2(3, 4)): HEAD + [*IDEAL, "gluing_consistency"],
+    (Vec2(2, 3), Vec2(2, 2), 5, Vec2(3, 4)): HEAD
+    + [*IDEAL, "hilbert_truncation", "gluing_consistency"],
 }
 # the toric oracle takes about 2 s at k = 5, so it runs there once
 SHAPES = [
@@ -783,8 +796,10 @@ class TestBoxBudget:
         huge = EnumerationBox(1 << 20, 1 << 20)
         opts = VerifyOptions(box=huge, include_toric=False, include_truncation=False)
         assert full_report(example_one, opts).ok
+        # with the check, the budget holds at every k, stored resolution or not
         k5 = build_family(Vec2(5, 4), Vec2(4, 9), 5)
-        assert full_report(k5, VerifyOptions(box=huge, include_toric=False)).ok
+        with pytest.raises(BoxTooLarge, match="over the limit"):
+            full_report(k5, VerifyOptions(box=huge, include_toric=False))
 
     def test_cli_exits_2_on_a_default_box_over_budget(self, capsys, no_box_oracles):
         from apsemigroups.cli import main
