@@ -7,15 +7,16 @@ package needs (graded reverse lexicographic, lexicographic, block
 elimination), division with deterministic reducer selection, Buchberger's
 completion with the coprime-pair skip, and elimination-based toric kernels.
 
-A coefficient is an `int` when it is integral and a `Fraction` otherwise:
-`_coef` stores it so when a polynomial is built or scaled and when `reduce`
-divides a reducer's tail, and every division of coefficients is a
-`Fraction` division. Sums and products of non-integral coefficients may
-leave an integral `Fraction`, which equals and hashes as its int. Every
-ideal the package completes is a pure-difference binomial ideal, whose
-Buchberger steps keep every coefficient at +-1 (Eisenbud and Sturmfels,
-"Binomial ideals", Duke Math. J. 84 (1996), Prop. 1.1), so its arithmetic
-stays on ints.
+A coefficient is an `int` when it is integral and a `Fraction` otherwise,
+and every division of coefficients is a `Fraction` division. One routine,
+`_add_terms`, adds c * x^s * p into a term dict in place: it drops what
+cancels and stores the rest through `_coef`. Sums, differences, products,
+scalings, shifts, S-polynomials and division steps all run through it, so
+each of them keeps that rule, and none builds a throwaway polynomial along
+the way. Every ideal the package completes is a pure-difference binomial
+ideal, whose Buchberger steps keep every coefficient at +-1 (Eisenbud and
+Sturmfels, "Binomial ideals", Duke Math. J. 84 (1996), Prop. 1.1), so its
+arithmetic stays on ints.
 
 Each order compiles its key function once, when it is built, from
 `operator.itemgetter` over its precedence, into a flat tuple of ints:
@@ -38,8 +39,10 @@ that count, and the memo makes each call cheaper without removing one.
 Cutting the calls themselves (a heap of pairs) waits for ROADMAP item 2.
 
 Division never touches a leading term: the lead of each reducer cancels by
-construction, so a step deletes it and subtracts only the reducer's tail,
-divided by its leading coefficient once per `reduce` call.
+construction, so a step deletes it and adds only the reducer's tail. The
+tail is a term dict, divided by the leading coefficient once per `reduce`
+call, and a step adds it into the work dict shifted and scaled by minus the
+deleted term.
 """
 
 from __future__ import annotations
@@ -105,6 +108,37 @@ def _coef(c) -> Coef:
         return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _inverse(c: Coef) -> Coef:
+    """1 / c as a stored coefficient."""
+    return c if c == 1 or c == -1 else _coef(Fraction(1, c))
+
+
+def _add_terms(
+    acc: dict, terms: dict, shift: Optional[Mono] = None, c: Coef = 1
+) -> dict:
+    """acc += c * x^shift * terms, in place, and acc. A coefficient that
+    cancels is dropped and every other one is stored by `_coef`."""
+    for m, v in terms.items():
+        if shift is not None:
+            m = tuple(map(add, m, shift))
+        v = acc.get(m, 0) + c * v
+        if type(v) is not int:
+            v = _coef(v)
+        if v:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
+    return acc
+
+
+def _add_product(acc: dict, f: "Polynomial", g: "Polynomial", c: Coef = 1) -> dict:
+    """acc += c * f * g, in place, and acc."""
+    if g.terms:
+        for m, v in f.terms.items():
+            _add_terms(acc, g.terms, m, c * v)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -180,40 +214,17 @@ class Polynomial:
         return max(mono_degree(m) for m in self.terms)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) - c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _add_terms(dict(self.terms), other.terms, c=-1))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            out: dict[Mono, Coef] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = mono_mul(m1, m2)
-                    nc = out.get(m, 0) + c1 * c2
-                    if nc:
-                        out[m] = nc
-                    else:
-                        out.pop(m, None)
-            return Polynomial(self.ring, out)
+            return Polynomial(self.ring, _add_product({}, self, other))
         return self.scale(other)
 
     def __rmul__(self, other) -> "Polynomial":
@@ -221,24 +232,11 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = _coef(c)
-        if not c:
-            return Polynomial(self.ring, {})
-        return Polynomial(
-            self.ring, {m: _coef(c * v) for m, v in self.terms.items()}
-        )
+        return Polynomial(self.ring, _add_terms({}, self.terms, c=c) if c else {})
 
     def mul_monomial(self, mono: Mono, coeff=1) -> "Polynomial":
-        if coeff == 1:
-            return Polynomial(
-                self.ring, {tuple(map(add, m, mono)): v for m, v in self.terms.items()}
-            )
         c = _coef(coeff)
-        if not c:
-            return Polynomial(self.ring, {})
-        return Polynomial(
-            self.ring,
-            {mono_mul(m, mono): _coef(c * v) for m, v in self.terms.items()},
-        )
+        return Polynomial(self.ring, _add_terms({}, self.terms, mono, c) if c else {})
 
     def __eq__(self, other) -> bool:
         return (
@@ -436,10 +434,10 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
     A step removes the leading term m = c*x^u and subtracts c * x^(u - lm(g))
     times the tail of g, the non-leading terms divided by lc(g): the leading
     terms cancel exactly, so they are never computed. Each reducer's tail is
-    built the first time it fires and kept for the rest of the call, its
-    coefficients stored by `_coef` (exact `Fraction` division, ints where
-    integral), so a reducer with a +-1 leading coefficient and int tail
-    keeps every step on ints.
+    a term dict built the first time it fires and kept for the rest of the
+    call, its coefficients stored by `_coef` (exact `Fraction` division,
+    ints where integral), so a reducer with a +-1 leading coefficient and
+    int tail keeps every step on ints.
     """
     # one row per nonzero g: [lm, lc, tail (None until g first fires), g]
     reducers = [[*leading_term(g, order), None, g] for g in G if g.terms]
@@ -454,20 +452,9 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
             if all(map(le, lm, m)):
                 tail = r[2]
                 if tail is None:
-                    lc = r[1]
-                    tail = r[2] = [
-                        (gm, gc if lc == 1 else _coef(Fraction(gc, lc)))
-                        for gm, gc in r[3].terms.items()
-                        if gm != lm
-                    ]
-                shift = tuple(map(sub, m, lm))
-                for gm, q in tail:
-                    mm = tuple(map(add, gm, shift))
-                    nc = work.get(mm, 0) - c * q
-                    if nc:
-                        work[mm] = nc
-                    else:
-                        del work[mm]
+                    tail = r[2] = _add_terms({}, r[3].terms, c=_inverse(r[1]))
+                    del tail[lm]
+                _add_terms(work, tail, tuple(map(sub, m, lm)), -c)
                 break
         else:
             remainder[m] = c
@@ -477,12 +464,14 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
 def s_polynomial(
     f: Polynomial, g: Polynomial, order: MonomialOrder
 ) -> Polynomial:
+    """x^(gamma - lm f) f / lc f - x^(gamma - lm g) g / lc g, gamma the lcm
+    of the leading monomials, added into one term dict."""
     lmf, lcf = leading_term(f, order)
     lmg, lcg = leading_term(g, order)
     gamma = mono_lcm(lmf, lmg)
-    return f.mul_monomial(
-        mono_div(gamma, lmf), 1 if lcf == 1 else Fraction(1, lcf)
-    ) - g.mul_monomial(mono_div(gamma, lmg), 1 if lcg == 1 else Fraction(1, lcg))
+    terms = _add_terms({}, f.terms, mono_div(gamma, lmf), _inverse(lcf))
+    _add_terms(terms, g.terms, mono_div(gamma, lmg), -_inverse(lcg))
+    return Polynomial(f.ring, terms)
 
 
 @dataclass(frozen=True)

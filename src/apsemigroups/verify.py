@@ -40,6 +40,7 @@ from .errors import BoxTooLarge, InfiniteDimension
 from .lattice import Vec2
 from .polynomials import (
     Polynomial,
+    _add_product,
     buchberger,
     family_grading,
     family_ring,
@@ -382,19 +383,17 @@ def hilbert_truncation_check(
 
 
 def poly_matrix_det(rows: list[list[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    if n == 1:
+    """Cofactor expansion along the first row, each cofactor added into one
+    term dict."""
+    if len(rows) == 1:
         return rows[0][0]
-    ring = rows[0][0].ring
-    out = ring.zero()
-    for j in range(n):
-        entry = rows[0][j]
+    out: dict = {}
+    for j, entry in enumerate(rows[0]):
         if entry.is_zero():
             continue
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        cofactor = entry * poly_matrix_det(minor)
-        out = out + cofactor if j % 2 == 0 else out - cofactor
-    return out
+        _add_product(out, entry, poly_matrix_det(minor), -1 if j % 2 else 1)
+    return Polynomial(rows[0][0].ring, out)
 
 
 def _named_minors(k: int):
@@ -463,11 +462,12 @@ def complex_check(res: GradedResolution) -> tuple[bool, Optional[str]]:
         left, right = res.maps[idx], res.maps[idx + 1]
         for i in range(len(left)):
             for j in range(len(right[0])):
-                acc = left[0][0].ring.zero()
+                acc: dict = {}
                 for t in range(len(right)):
-                    acc = acc + left[i][t] * right[t][j]
-                if not acc.is_zero():
-                    return False, f"(delta{idx + 1} * delta{idx + 2})[{i + 1}][{j + 1}] = {acc}"
+                    _add_product(acc, left[i][t], right[t][j])
+                if acc:
+                    entry = Polynomial(left[0][0].ring, acc)
+                    return False, f"(delta{idx + 1} * delta{idx + 2})[{i + 1}][{j + 1}] = {entry}"
 
     # Recompute the column degrees independently and compare with the stored
     # shift lists.

@@ -169,6 +169,24 @@ def reference_s_polynomial(f, g, order):
     ) - g.mul_monomial(polynomials.mono_div(gamma, lmg), Fraction(1) / lcg)
 
 
+def reference_sum(f, g, sign=1):
+    """f + sign * g by naive dict arithmetic on Fractions. The oracle for
+    `+` and `-`."""
+    out = {m: Fraction(c) for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return Polynomial(f.ring, {m: c for m, c in out.items() if c})
+
+
+def reference_product(f, g):
+    """f * g by naive dict arithmetic on Fractions. The oracle for `*`."""
+    out = {}
+    for (m1, c1), (m2, c2) in itertools.product(f.terms.items(), g.terms.items()):
+        m = polynomials.mono_mul(m1, m2)
+        out[m] = out.get(m, Fraction(0)) + Fraction(c1) * c2
+    return Polynomial(f.ring, {m: c for m, c in out.items() if c})
+
+
 def reference_buchberger(gens, order):
     """Buchberger's completion with the pairs in a dict (pair -> lcm) and the
     next pair taken as the least (key, pair) of `zip`: the S-pair order
@@ -435,11 +453,43 @@ class TestEngineMatchesReference:
 
         check()
 
+    def test_sum_difference_product_match_reference(self, hypothesis):
+        st = hypothesis.strategies
+        ring = PolynomialRing(["x", "y", "z"])
+        coefficients = st.builds(
+            Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
+        )
+        polys = st.one_of(
+            st.just(ring.zero()),
+            st.dictionaries(
+                _monomials(st, 3, 2), coefficients, min_size=1, max_size=5
+            ).map(ring.poly),
+        )
+
+        @property_settings(hypothesis)
+        @hypothesis.given(st.data())
+        def check(data):
+            f, g = data.draw(polys), data.draw(polys)
+            # g shares terms with f, so sums and products can cancel
+            g = g + f.scale(data.draw(coefficients))
+            for a, b in ((f, g), (g, f), (f, f)):
+                assert a + b == reference_sum(a, b)
+                assert a - b == reference_sum(a, b, -1)
+                assert a * b == reference_product(a, b)
+            assert (f - f).is_zero()
+
+        check()
+
 
 def _only_exact_coefficients(*polys):
-    """Every coefficient is exactly an int or a Fraction: never a float,
-    which `int / int` would give."""
-    return all(type(c) in (int, Fraction) for p in polys for c in p.terms.values())
+    """Every coefficient is an int when integral and a non-integral Fraction
+    otherwise: never a float, which `int / int` would give, and never an
+    integral Fraction."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for p in polys
+        for c in p.terms.values()
+    )
 
 
 class TestCoefficientTypes:
@@ -488,6 +538,13 @@ class TestCoefficientTypes:
             assert gamma not in s_polynomial(f, g, order).terms
 
         check()
+        # a sum and a product whose integral coefficients come from
+        # non-integral ones
+        x, y = ring.var(0), ring.var(1)
+        half = x.scale(Fraction(1, 2))
+        p = (x * x).scale(Fraction(1, 3)) + (y * y).scale(Fraction(2, 3))
+        q = (x * y).scale(3) + (y * y).scale(Fraction(1, 3))
+        assert _only_exact_coefficients(half + (half + y), p * q)
 
     def test_toric_relations_complete_on_ints(self, example_two, monkeypatch):
         # toric_kernel completes x_i - t^(g_i), a pure-difference binomial

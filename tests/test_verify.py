@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -11,6 +12,7 @@ from apsemigroups import (
     BoxTooLarge,
     EnumerationBox,
     HilbertSeriesForm,
+    PolynomialRing,
     Vec2,
     build_family,
     complex_check,
@@ -600,14 +602,77 @@ class TestComplexCheck:
     def test_broken_matrix_detected(self, example_one):
         import dataclasses
 
-        res = resolution(example_one)
-        ring = res.maps[0][0][0].ring
-        bad_delta2 = tuple(
-            tuple(ring.var(1) if (i, j) == (0, 0) else res.maps[1][i][j] for j in range(2))
-            for i in range(3)
+        # (family, map index, entry, replacement variable, witness): one
+        # entry of delta2 at k = 3 and one of delta3 at k = 4 replaced
+        cases = [
+            (
+                example_one,
+                1,
+                (0, 0),
+                1,
+                "(delta1 * delta2)[1][1] = x2^3 - x1*x2*x3 + x2^2*x3 - x1*x3^2",
+            ),
+            (
+                build_family(Vec2(3, 1), Vec2(1, 3), 4),
+                2,
+                (0, 0),
+                1,
+                "(delta2 * delta3)[1][1] = -x2*x3 + x3*x4",
+            ),
+        ]
+        for f, idx, at, var, witness in cases:
+            res = resolution(f)
+            ring = res.maps[0][0][0].ring
+            bad = tuple(
+                tuple(ring.var(var) if (i, j) == at else e for j, e in enumerate(row))
+                for i, row in enumerate(res.maps[idx])
+            )
+            maps = res.maps[:idx] + (bad,) + res.maps[idx + 1 :]
+            result = complex_check(dataclasses.replace(res, maps=maps))
+            assert (result.passed, result.witness) == (False, witness)
+
+    def test_det_matches_leibniz_expansion(self, hypothesis):
+        st = hypothesis.strategies
+        ring = PolynomialRing(["x", "y", "z"])
+        monomials = st.tuples(*[st.integers(0, 2)] * 3)
+        entries = st.one_of(
+            st.just(ring.zero()),
+            st.dictionaries(
+                monomials, st.integers(-2, 2).filter(bool), min_size=1, max_size=3
+            ).map(ring.poly),
         )
-        broken = dataclasses.replace(res, maps=(res.maps[0], bad_delta2))
-        assert not complex_check(broken).passed
+
+        @property_settings(hypothesis)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 4))
+            rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+            if n > 1 and data.draw(st.booleans()):
+                # a repeated row: every term must cancel
+                rows[data.draw(st.integers(1, n - 1))] = list(rows[0])
+            assert poly_matrix_det(rows).terms == leibniz_det(rows)
+
+        check()
+
+
+def leibniz_det(rows):
+    """The determinant as sum over permutations of sign * product of
+    entries, in plain term dicts; the oracle for `poly_matrix_det`."""
+    n = len(rows)
+    out = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        product = {(0,) * rows[0][0].ring.nvars: -1 if inversions % 2 else 1}
+        for i, j in enumerate(perm):
+            step = {}
+            for m1, c1 in product.items():
+                for m2, c2 in rows[i][j].terms.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    step[m] = step.get(m, 0) + c1 * c2
+            product = step
+        for m, c in product.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
 
 
 class TestGastinger:
