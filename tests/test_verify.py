@@ -602,32 +602,25 @@ class TestComplexCheck:
     def test_broken_matrix_detected(self, example_one):
         import dataclasses
 
-        # (family, map index, entry, replacement variable, witness): one
-        # entry of delta2 at k = 3 and one of delta3 at k = 4 replaced
+        # (family, map index, witness): entry (1,1) of delta2 at k = 3 and
+        # of delta3 at k = 4 replaced by x2
         cases = [
             (
                 example_one,
-                1,
-                (0, 0),
                 1,
                 "(delta1 * delta2)[1][1] = x2^3 - x1*x2*x3 + x2^2*x3 - x1*x3^2",
             ),
             (
                 build_family(Vec2(3, 1), Vec2(1, 3), 4),
                 2,
-                (0, 0),
-                1,
                 "(delta2 * delta3)[1][1] = -x2*x3 + x3*x4",
             ),
         ]
-        for f, idx, at, var, witness in cases:
+        for f, idx, witness in cases:
             res = resolution(f)
-            ring = res.maps[0][0][0].ring
-            bad = tuple(
-                tuple(ring.var(var) if (i, j) == at else e for j, e in enumerate(row))
-                for i, row in enumerate(res.maps[idx])
-            )
-            maps = res.maps[:idx] + (bad,) + res.maps[idx + 1 :]
+            matrix = [list(row) for row in res.maps[idx]]
+            matrix[0][0] = res.maps[0][0][0].ring.var(1)
+            maps = res.maps[:idx] + (matrix,) + res.maps[idx + 1 :]
             result = complex_check(dataclasses.replace(res, maps=maps))
             assert (result.passed, result.witness) == (False, witness)
 
