@@ -19,10 +19,18 @@ Sturmfels, "Binomial ideals", Duke Math. J. 84 (1996), Prop. 1.1), so its
 arithmetic stays on ints.
 
 Each order compiles its key function once, when it is built, from
-`operator.itemgetter` over its precedence, into a flat tuple of ints:
-grevlex is (degree, -e_n, ..., -e_1) over its precedence, an elimination
-order the concatenation of its two blocks' grevlex keys (the head has a
-fixed length, so it compares as the pair), lex the exponents themselves.
+`operator.itemgetter` over its precedence. A grevlex key is one int that
+orders as the tuple (D, -e_n, ..., -e_1), D the degree over the
+precedence: with w = max(1, ceil(bitlen(D) / 8)) bytes per exponent, it is
+D * 2^(8wn) minus the exponents e_n, ..., e_1 read as unsigned w-byte
+big-endian fields. Within a degree, subtracting the fields orders
+(-e_n, ..., -e_1) lexicographically; across degrees, the fields lie in
+[0, 2^(8wn)) and 2^(8wn) never shrinks as D grows, so the key rises strictly
+with D. So the pair scan, `leading_term` and `reduce` compare ints. An
+elimination key is the pair of its two blocks' grevlex keys (that order has
+type omega^2, which no single int can encode), and a lex key the exponents
+themselves. Grevlex and elimination keys refuse a negative exponent with a
+ValueError naming the monomial; lex keys take any int.
 It memoises the key per order in a plain dict that fills on a miss and
 empties itself at `_KEY_MEMO_BOUND` entries. `order.key` is that dict's
 bound `__getitem__`, fetched by a C-level getter, so `order.key(m)`,
@@ -50,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, attrgetter, ge, itemgetter, le, neg, sub
+from operator import add, attrgetter, ge, itemgetter, le, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InfiniteDimension, NotHomogeneous
@@ -61,6 +69,9 @@ Mono = tuple[int, ...]
 
 # a coefficient: an int when integral, else a Fraction (see _coef)
 Coef = Union[int, Fraction]
+
+# an order key: one int (grevlex), an int pair (elimination), a tuple (lex)
+Key = Union[int, tuple[int, ...]]
 
 # Entries per order in the key memo, which empties itself when it reaches
 # this size; `order.key` is the memo's own lookup, so a hit costs one dict
@@ -300,14 +311,38 @@ def _picker(idxs: tuple[int, ...]) -> Callable[[Mono], tuple[int, ...]]:
     return itemgetter(*idxs)
 
 
-def _compile_grevlex(idxs: tuple[int, ...]) -> Callable[[Mono], tuple]:
-    """The flat tuple (total degree over idxs, then the negated exponents
-    from the last index to the first)."""
-    pick = _picker(idxs[::-1])
+def _compile_grevlex(idxs: tuple[int, ...]) -> Callable[[Mono], int]:
+    """The grevlex key over idxs as one int that orders exactly as the
+    tuple (D, -e_n, ..., -e_1), D the degree over idxs.
 
-    def key(m: Mono) -> tuple:
+    With exps = (e_n, ..., e_1), the exponents from the last index to the
+    first, and w = max(1, ceil(bitlen(D) / 8)) bytes per field, the key is
+    D * B - F, where B = 2^(8wn) and F reads exps as n unsigned w-byte
+    big-endian fields (each e <= D < 2^(8w) fits its field). Within one
+    degree, -F orders as (-e_n, ..., -e_1) lexicographically. Across degrees, 0 <= F < B puts key(D) in
+    ((D - 1) * B, D * B], and B never shrinks as D grows, so the key rises
+    strictly with D. A negative exponent fits no unsigned field and raises
+    ValueError naming the monomial.
+    """
+    pick = _picker(idxs[::-1])
+    nbits = 8 * len(idxs)  # the bits of n one-byte fields
+    from_bytes = int.from_bytes
+
+    def key(m: Mono) -> int:
         exps = pick(m)
-        return (sum(exps), *map(neg, exps))
+        d = sum(exps)
+        try:
+            if d < 256:
+                # every field fits one byte; bytes() refuses any outside 0..255
+                return (d << nbits) - from_bytes(bytes(exps), "big")
+            w = (d.bit_length() + 7) // 8
+            fields = b"".join([e.to_bytes(w, "big") for e in exps])
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"monomial {m} has a negative exponent; grevlex keys take "
+                "exponents >= 0"
+            ) from None
+        return (d << (w * nbits)) - from_bytes(fields, "big")
 
     return key
 
@@ -318,7 +353,7 @@ class _KeyMemo(dict):
 
     __slots__ = ("compiled",)
 
-    def __init__(self, compiled: Callable[[Mono], tuple]):
+    def __init__(self, compiled: Callable[[Mono], Key]):
         self.compiled = compiled
 
     def __missing__(self, m: Mono):
@@ -353,6 +388,14 @@ class MonomialOrder:
     kind "elim": the first `block` precedence variables dominate; both blocks
     are compared by grevlex, so it eliminates the leading block.
 
+    A grevlex key is one int, D * 2^(8wn) - F: D the degree, F the exponents
+    from the last precedence variable to the first as n unsigned w-byte
+    fields, w = max(1, ceil(bitlen(D) / 8)). Within a degree, -F orders as
+    (-e_n, ..., -e_1); across degrees, 0 <= F < 2^(8wn), a bound that never
+    shrinks as D grows, so the key rises strictly with D. An elim key is the
+    pair of its blocks' grevlex keys; a lex key the picked exponents. Grevlex
+    and elim keys raise ValueError on a negative exponent.
+
     The key function is compiled once, when the order is built, and memoised
     per order (at most _KEY_MEMO_BOUND monomials); an unknown kind raises
     ValueError then. The memo takes no part in equality or hashing.
@@ -373,8 +416,8 @@ class MonomialOrder:
             head = _compile_grevlex(prec[: self.block])
             tail = _compile_grevlex(prec[self.block :])
 
-            def compiled(m: Mono) -> tuple:
-                return head(m) + tail(m)
+            def compiled(m: Mono) -> tuple[int, int]:
+                return head(m), tail(m)
 
         else:
             raise ValueError(f"unknown order kind {self.kind!r}")

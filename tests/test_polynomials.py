@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from apsemigroups import (
     Vec2,
     buchberger,
     compare,
+    elimination_order,
     family_grading,
     family_ring,
     generating_set,
@@ -97,12 +99,21 @@ class TestOrders:
 
 
 def reference_key(order, m):
-    """The order key as the uncompiled flat formula, per kind: grevlex is
-    (degree, -e_n, ..., -e_1) over the precedence, elim the concatenation
-    of its blocks' grevlex keys."""
+    """The order key by plain arithmetic, per kind: grevlex is the int
+    D * B - F over the precedence, with D the degree, B = 2^(8wn) for
+    w = max(1, ceil(bitlen(D) / 8)) bytes per field, and F the exponents
+    e_n, ..., e_1 as base-2^(8w) digits summed by Horner's rule; elim is
+    the pair of its blocks' grevlex keys; lex the exponents themselves."""
 
     def grevlex_key(idxs):
-        return (sum(m[i] for i in idxs), *(-m[i] for i in reversed(idxs)))
+        exps = [m[i] for i in reversed(idxs)]
+        degree = sum(exps)
+        w = max(1, -(-degree.bit_length() // 8))
+        base = 2 ** (8 * w)
+        fields = 0
+        for e in exps:
+            fields = fields * base + e
+        return degree * base ** len(exps) - fields
 
     if order.kind == "grevlex":
         return grevlex_key(order.precedence)
@@ -110,7 +121,7 @@ def reference_key(order, m):
         return tuple(m[i] for i in order.precedence)
     head = order.precedence[: order.block]
     tail = order.precedence[order.block :]
-    return grevlex_key(head) + grevlex_key(tail)
+    return grevlex_key(head), grevlex_key(tail)
 
 
 def nested_reference_key(order, m):
@@ -254,6 +265,61 @@ class TestCompiledKeys:
                 n1, n2 = (nested_reference_key(order, m) for m in (m1, m2))
                 assert flat == (n1 > n2) - (n1 < n2)
 
+    # the degrees at which a grevlex key's field width changes, and one far out
+    WIDTH_DEGREES = [0, 255, 256, 65535, 65536, 2**40]
+
+    def width_monomials(self):
+        """Pure powers and an even spread at each degree above, and one
+        monomial for every pair of those degrees on the first and last
+        variables, so elimination blocks sit at different widths."""
+        n = self.N
+        out = set()
+        for d in self.WIDTH_DEGREES:
+            out.update(tuple(d * (j == i) for j in range(n)) for i in range(n))
+            q, r = divmod(d, n)
+            out.add(tuple(q + (j < r) for j in range(n)))
+        for d1, d2 in itertools.product(self.WIDTH_DEGREES, repeat=2):
+            out.add((d1,) + (0,) * (n - 2) + (d2,))
+        return sorted(out)
+
+    def test_keys_across_field_widths(self, rng):
+        monos = self.width_monomials()
+        prec = tuple(rng.sample(range(self.N), self.N))
+        orders = [MonomialOrder("grevlex", prec), grevlex(self.N)]
+        orders += [
+            MonomialOrder("elim", prec, block=b) for b in range(self.N + 1)
+        ]
+        for order in orders:
+            keys = {m: order.key(m) for m in monos}
+            for m in monos:
+                assert keys[m] == reference_key(order, m)
+            for m1, m2 in itertools.product(monos, repeat=2):
+                k1, k2 = keys[m1], keys[m2]
+                n1, n2 = (nested_reference_key(order, m) for m in (m1, m2))
+                assert (k1 > k2) - (k1 < k2) == (n1 > n2) - (n1 < n2)
+
+    # a negative exponent on the last variables (the tail block of
+    # elimination_order(2, 5)): on the one-byte path (degree < 256), the one-
+    # byte path with a field above 255, and the wide path twice, once with a
+    # field too large for its width
+    @pytest.mark.parametrize(
+        "m",
+        [
+            (1, 0, -1, 2, 0),
+            (0, 0, -100, 300, 0),
+            (0, 0, -1, 0, 300),
+            (0, 0, -(2**20), 2**20 + 300, 0),
+        ],
+    )
+    def test_negative_exponent_is_refused(self, m):
+        message = f"monomial {re.escape(str(m))} has a negative exponent"
+        for order in (grevlex(self.N), elimination_order(2, self.N)):
+            with pytest.raises(ValueError, match=message):
+                order.key(m)
+            assert m not in order._memo
+        # lex keys are the exponents themselves and still take any int
+        assert lex_order(range(self.N)).key(m) == m
+
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown order kind 'deglex'"):
             MonomialOrder("deglex", (0, 1))
@@ -356,7 +422,11 @@ class TestOrderProperties:
         def check(data):
             n = data.draw(st.integers(1, 5))
             order = data.draw(_orders(st, n))
-            m1, m2, m3, m = (data.draw(_monomials(st, n, 6)) for _ in range(4))
+            # small exponents, and large ones whose sums cross the degrees
+            # 255/256 and 65535/65536 where a grevlex key's fields widen
+            exps = st.one_of(st.integers(0, 6), st.integers(250, 70_000))
+            monos = st.tuples(*[exps] * n)
+            m1, m2, m3, m = (data.draw(monos) for _ in range(4))
             one = (0,) * n
             c = compare(order, m1, m2)
             # total, antisymmetric and transitive
@@ -728,6 +798,44 @@ class TestBuchberger:
         check()
         # 58 of the 150 examples add elements; insertion must not go untested
         assert sum(grew) >= 30
+
+    @pytest.mark.parametrize("scale", [100, 2**20])
+    def test_high_degree_pair_order_and_basis_match_reference(
+        self, monkeypatch, scale
+    ):
+        # binomials of degree >= 300, so every key takes the multi-byte path;
+        # x_i -> x_i^scale keeps both orders, so the basis is the scaled one
+        ring = PolynomialRing(["x", "y", "z"])
+        small = [((3, 0, 0), (1, 1, 1)), ((0, 2, 1), (2, 0, 1)), ((1, 2, 0), (0, 0, 3))]
+
+        def binomials(c):
+            return [
+                ring.binomial(tuple(c * e for e in u), tuple(c * e for e in v))
+                for u, v in small
+            ]
+
+        taken = []
+        original = polynomials.s_polynomial
+
+        def spy(f, g, o):
+            taken.append((f, g))
+            return original(f, g, o)
+
+        monkeypatch.setattr(polynomials, "s_polynomial", spy)
+        for order in (grevlex(3), elimination_order(1, 3)):
+            taken.clear()
+            expected = reference_buchberger(binomials(scale), order)
+            expected_pairs = list(taken)
+            taken.clear()
+            out = buchberger(binomials(scale), order)
+            assert taken == expected_pairs
+            assert out.elements == expected.elements
+            assert len(out) > len(small)
+            scaled = [
+                ring.poly({tuple(scale * e for e in m): c for m, c in g.terms.items()})
+                for g in buchberger(binomials(1), order)
+            ]
+            assert list(out.elements) == scaled
 
     def test_idempotent_and_verified(self, rng):
         ring = PolynomialRing(["x", "y", "z"])
