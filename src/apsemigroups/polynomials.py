@@ -319,10 +319,11 @@ def _compile_grevlex(idxs: tuple[int, ...]) -> Callable[[Mono], int]:
     first, and w = max(1, ceil(bitlen(D) / 8)) bytes per field, the key is
     D * B - F, where B = 2^(8wn) and F reads exps as n unsigned w-byte
     big-endian fields (each e <= D < 2^(8w) fits its field). Within one
-    degree, -F orders as (-e_n, ..., -e_1) lexicographically. Across degrees, 0 <= F < B puts key(D) in
-    ((D - 1) * B, D * B], and B never shrinks as D grows, so the key rises
-    strictly with D. A negative exponent fits no unsigned field and raises
-    ValueError naming the monomial.
+    degree, -F orders as (-e_n, ..., -e_1) lexicographically. Across
+    degrees, 0 <= F < B puts key(D) in ((D - 1) * B, D * B], and B never
+    shrinks as D grows, so the key rises strictly with D. A negative
+    exponent fits no unsigned field and raises ValueError naming the
+    monomial.
     """
     pick = _picker(idxs[::-1])
     nbits = 8 * len(idxs)  # the bits of n one-byte fields

@@ -806,7 +806,11 @@ class TestBuchberger:
         # binomials of degree >= 300, so every key takes the multi-byte path;
         # x_i -> x_i^scale keeps both orders, so the basis is the scaled one
         ring = PolynomialRing(["x", "y", "z"])
-        small = [((3, 0, 0), (1, 1, 1)), ((0, 2, 1), (2, 0, 1)), ((1, 2, 0), (0, 0, 3))]
+        small = [
+            ((3, 0, 0), (1, 1, 1)),
+            ((0, 2, 1), (2, 0, 1)),
+            ((1, 2, 0), (0, 0, 3)),
+        ]
 
         def binomials(c):
             return [
