@@ -30,7 +30,10 @@ with D. So the pair scan, `leading_term` and `reduce` compare ints. An
 elimination key is the pair of its two blocks' grevlex keys (that order has
 type omega^2, which no single int can encode), and a lex key the exponents
 themselves. Grevlex and elimination keys refuse a negative exponent with a
-ValueError naming the monomial; lex keys take any int.
+ValueError naming the monomial; lex keys take any int. `PolynomialRing.poly`
+and `PolynomialRing.monomial` (and `binomial`, `one` and `var`, which build
+through them) refuse an exponent vector of the wrong length or with a
+negative entry, naming it, so no such monomial is stored.
 It memoises the key per order in a plain dict that fills on a miss and
 empties itself at `_KEY_MEMO_BOUND` entries. `order.key` is that dict's
 bound `__getitem__`, fetched by a C-level getter, so `order.key(m)`,
@@ -177,18 +180,31 @@ class PolynomialRing:
         exps[i] = 1
         return self.monomial(tuple(exps))
 
+    def _exponents(self, exps) -> Mono:
+        """exps as a tuple, refused with ValueError unless it has one entry
+        >= 0 per variable."""
+        m = tuple(exps)
+        if len(m) != len(self.names) or m and min(m) < 0:
+            raise ValueError(
+                f"exponent vector {m} has length {len(m)}; the ring has "
+                f"{self.nvars} variables"
+                if len(m) != self.nvars
+                else f"exponent vector {m} has a negative entry"
+            )
+        return m
+
     def monomial(self, exps: Mono, coeff=1) -> "Polynomial":
-        if len(exps) != self.nvars:
-            raise ValueError("exponent vector has wrong length")
+        m = self._exponents(exps)
         c = _coef(coeff)
-        return Polynomial(self, {tuple(exps): c} if c else {})
+        return Polynomial(self, {m: c} if c else {})
 
     def poly(self, terms: dict) -> "Polynomial":
         cleaned = {}
         for m, c in terms.items():
+            m = self._exponents(m)
             c = _coef(c)
             if c:
-                cleaned[tuple(m)] = c
+                cleaned[m] = c
         return Polynomial(self, cleaned)
 
     def binomial(self, plus: Mono, minus: Mono) -> "Polynomial":

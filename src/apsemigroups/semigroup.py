@@ -15,10 +15,13 @@ of a and a+kd, gets a per-tuple level frame (`_level_frame`), and
 search below finds, at any coordinate size.
 
 Every other tuple is decided by an exact depth-first search over residual
-vectors (`_dfs_certificate`), which keeps what it learns for one call only. It
-needs every generator to have positive coordinate sum, so that each step
-lowers the residual's sum and the search terminates; it raises ValueError on
-a generator that has not.
+vectors (`_dfs_certificate`). It tries the generators in index order, first
+generator first, so its certificate is the lexicographically largest
+representation; it keeps one dict entry per residual it decides, for one call
+only, and runs on an explicit stack, so its depth is not bounded by Python's
+recursion limit. It needs every generator to have positive coordinate sum, so
+that each step lowers the residual's sum and the search terminates; it raises
+ValueError on a generator that has not.
 Apery sets come in two independent flavours, a closed form and a brute-force
 enumeration straight from the definition, so each can check the other.
 """
@@ -41,10 +44,6 @@ from .errors import (
     OutsideCone,
 )
 from .lattice import ZERO, Vec2, det, in_lattice, ray_coordinates
-
-_NOT_MEMBER = -1
-_UNSEEN = object()
-
 
 @dataclass(frozen=True)
 class SemigroupFamily:
@@ -271,16 +270,18 @@ def member_certificate(
     """Nonnegative coefficients c with sum(c_i * g_i) == target, or None.
 
     Exact and total: a None answer means the target is not a sum of the
-    generators. The certificate is the one `_dfs_certificate` finds, the
-    search that takes the lowest-index generator whose removal leaves a
-    member, whichever way it is computed.
+    generators. The certificate is the lexicographically largest
+    representation, the one `_dfs_certificate` finds by taking the
+    lowest-index generator whose removal leaves a member, whichever way it
+    is computed.
 
     A tuple with a level frame (a progression a, ..., a+kd in N^2 with
     det(a, d) != 0, optionally followed by one nonzero b in the closed cone
     of a and a+kd) is answered in O(1) arithmetic on the target's level
-    coordinates, whatever their size. Every other tuple runs the search,
-    which needs every generator to have positive coordinate sum: it raises
-    ValueError naming the first generator that has not.
+    coordinates, whatever their size. Every other tuple runs the search, one
+    dict entry per residual on an explicit stack, which needs every
+    generator to have positive coordinate sum: it raises ValueError naming
+    the first generator that has not.
     """
     gens = tuple(generators)
     frame = _level_frame(gens)
@@ -304,65 +305,52 @@ def _require_positive_sums(gens: tuple) -> None:
 def _dfs_certificate(
     gens: tuple[Vec2, ...], target: Vec2
 ) -> Optional[tuple[int, ...]]:
-    """`member_certificate` by the residual search, memoized within the call,
-    for any tuple of generators with positive coordinate sums (ValueError
-    otherwise)."""
+    """`member_certificate` by depth-first search over residuals, for any
+    tuple of generators with positive coordinate sums (ValueError otherwise).
+
+    first[u] is the index of the first generator g with u - g in S, or -1
+    when u is not in S: one entry per decided residual, kept for this call.
+    The residual on top of the stack is scanned from g_0. Its first
+    nonnegative child not yet decided is pushed, and its scan starts again
+    from g_0 when the search returns to it; it is decided at its first child
+    in S, or as -1 once the scan finds none. Each child has a smaller
+    coordinate sum, so the search ends, and the stack is explicit, so its
+    depth is not bounded by Python's recursion limit. The certificate read
+    from first takes g_0 as often as the rest stays in S, then g_1, and so
+    on: the lexicographically largest representation.
+    """
     _require_positive_sums(gens)
-    n = len(gens)
     tx, ty = target
     if tx < 0 or ty < 0:
         return None
-    if tx == 0 and ty == 0:
-        return (0,) * n
-
-    # memo[u]: index of a generator starting a representation of u, or
-    # _NOT_MEMBER. Children have strictly smaller coordinate sum, so the
-    # explicit DFS stack below always terminates. Residuals are built as bare
-    # pairs, which hash and compare as the Vec2 of the same coordinates but
-    # cost far less to make.
-    memo: dict[tuple[int, int], int] = {}
-    stack: list[list] = [[target, 0]]
+    first = {(0, 0): 0}  # the origin is in S; no index is read from it
+    stack = [(tx, ty)]
     while stack:
-        frame = stack[-1]
-        u, i = frame
-        if u in memo:
+        u = stack[-1]
+        if u in first:
             stack.pop()
             continue
         ux, uy = u
-        pushed = False
-        decided = False
-        while i < n:
-            gx, gy = gens[i]
+        for i, (gx, gy) in enumerate(gens):
             wx = ux - gx
             wy = uy - gy
-            if wx >= 0 and wy >= 0:
-                if wx == 0 and wy == 0:
-                    memo[u] = i
-                    decided = True
-                    break
-                w = (wx, wy)
-                state = memo.get(w, _UNSEEN)
-                if state is _UNSEEN:
-                    frame[1] = i
-                    stack.append([w, 0])
-                    pushed = True
-                    break
-                if state != _NOT_MEMBER:
-                    memo[u] = i
-                    decided = True
-                    break
-            i += 1
-        if pushed:
-            continue
-        if not decided:
-            memo[u] = _NOT_MEMBER
-        stack.pop()
+            if wx < 0 or wy < 0:
+                continue
+            state = first.get((wx, wy))
+            if state is None:
+                stack.append((wx, wy))
+                break
+            if state >= 0:
+                first[u] = i
+                break
+        else:
+            first[u] = -1
 
-    if memo[target] == _NOT_MEMBER:
+    if first[tx, ty] < 0:
         return None
-    counts = [0] * n
+    counts = [0] * len(gens)
     while tx or ty:
-        i = memo[tx, ty]
+        i = first[tx, ty]
         counts[i] += 1
         gx, gy = gens[i]
         tx -= gx

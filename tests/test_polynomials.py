@@ -644,6 +644,47 @@ class TestCoefficientTypes:
         assert type(ring.poly({m: Fraction(1, 2)}).terms[m]) is Fraction
 
 
+class TestExponentVectors:
+    """A ring refuses an exponent vector of the wrong length or with a
+    negative entry where it enters, naming it, so no order key or `str()`
+    ever meets one."""
+
+    ring = PolynomialRing(["x", "y"])
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ((1, 2, 3), r"exponent vector \(1, 2, 3\) has length 3; the ring has 2"),
+            ((1,), r"exponent vector \(1,\) has length 1; the ring has 2"),
+            ((-1, 2), r"exponent vector \(-1, 2\) has a negative entry"),
+            ((0, -5), r"exponent vector \(0, -5\) has a negative entry"),
+        ],
+    )
+    def test_bad_vector_is_refused_by_every_builder(self, m, message):
+        ring = self.ring
+        builders = [
+            lambda: ring.poly({m: 1}),
+            lambda: ring.poly({(0, 1): 1, m: 0}),  # refused with coefficient 0 too
+            lambda: ring.monomial(m),
+            lambda: ring.monomial(m, 0),
+            lambda: ring.binomial(m, (0, 1)),
+            lambda: ring.binomial((0, 1), m),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_good_vectors_are_stored_as_tuples(self):
+        ring = self.ring
+        p = ring.poly({(1, 2): 1, (0, 0): 0, (3, 0): -2})
+        assert p.terms == {(1, 2): 1, (3, 0): -2}
+        assert str(p) == "-2*x^3 + x*y^2"
+        assert ring.monomial([2, 1]).terms == {(2, 1): 1}
+        assert ring.one().terms == {(0, 0): 1}
+        assert ring.var(1).terms == {(0, 1): 1}
+        assert PolynomialRing([]).one().terms == {(): 1}
+
+
 class TestSPolynomial:
     def test_self_pair_vanishes(self):
         ring = ring_k(3)

@@ -1,8 +1,10 @@
 import contextlib
 import inspect
 import signal
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,8 @@ from apsemigroups import (
 )
 from apsemigroups import semigroup
 from conftest import random_extended_family, random_family
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestBuildFamily:
@@ -255,6 +259,47 @@ class TestSearchPremise:
             capsys.readouterr()
             assert calls and searched() == middles
 
+    # seed-0 searches per workload: k - 1 per family with k >= 3
+    @pytest.mark.parametrize(
+        "workload, searches",
+        [("analyze-sweep", 72), ("glued-verify", 2), ("wide-verify", 45)],
+    )
+    def test_every_benchmark_call_searches_only_in_the_minimality_loop(
+        self, monkeypatch, capsys, workload, searches
+    ):
+        from apsemigroups import cli, verify
+
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        calls = workloads.generate(workload, workloads.DEFAULT_SEED)
+        original = semigroup.member_certificate
+        searched = []  # (calling code, generator tuple) per call without a frame
+
+        def spy(generators, target):
+            gens = tuple(generators)
+            if semigroup._level_frame(gens) is None:
+                searched.append((sys._getframe(1).f_code, gens))
+            return original(gens, target)
+
+        monkeypatch.setattr(semigroup, "member_certificate", spy)
+        monkeypatch.setattr(verify, "member_certificate", spy)
+
+        loop = semigroup.build_family.__code__
+        total = 0
+        for argv in calls:
+            args = cli._parser().parse_args(list(argv))
+            a, d = cli._parse_vec(args.a), cli._parse_vec(args.d)
+            k = args.k
+            gens = tuple(a + i * d for i in range(k + 1))
+            middles = [gens[:j] + gens[j + 1 :] for j in range(1, k)] if k > 2 else []
+            assert cli.main(list(argv)) == 0
+            capsys.readouterr()
+            assert searched == [(loop, m) for m in middles], argv
+            total += len(searched)
+            searched.clear()
+        assert total == searches
+
 
 def reference_member_certificate(generators, target, memo=None):
     """The membership search as it ran on Vec2 residuals, memo keyed by Vec2."""
@@ -337,6 +382,47 @@ class TestMembershipProperties:
                 assert (expected is None) == (not all_representations(gens, v))
 
         check()
+
+    def test_certificate_is_the_largest_representation(self, hypothesis):
+        # an oracle that shares no code with either search: the certificate
+        # is the lexicographically largest of all representations
+        st = hypothesis.strategies
+        vectors = st.builds(Vec2, st.integers(0, 6), st.integers(0, 6))
+        generators = st.lists(
+            vectors.filter(lambda v: not v.is_zero()), min_size=1, max_size=5
+        ).map(tuple)
+        targets = st.lists(
+            st.builds(Vec2, st.integers(-2, 30), st.integers(-2, 30)),
+            min_size=1,
+            max_size=12,
+        )
+
+        @hypothesis.settings(
+            max_examples=600, derandomize=True, database=None, deadline=None
+        )
+        @hypothesis.given(generators, targets)
+        def check(gens, vs):
+            for v in vs:
+                expected = max(all_representations(gens, v), default=None)
+                assert member_certificate(gens, v) == expected, (gens, v)
+
+        check()
+
+    # tuples with no level frame, so the search answers: the first runs 3,000
+    # residuals deep, past Python's recursion limit, and the second decides
+    # all 201 * 201 residuals below its target before it answers None
+    @pytest.mark.parametrize(
+        "gens, target, expected",
+        [
+            (((1, 1), (1, 0), (0, 1)), (3000, 3000), (3000, 0, 0)),
+            (((2, 0), (0, 2), (2, 2), (4, 2)), (401, 401), None),
+        ],
+    )
+    def test_deep_searches_run_on_the_explicit_stack(self, gens, target, expected):
+        gens = tuple(Vec2(*g) for g in gens)
+        assert semigroup._level_frame(gens) is None
+        with time_limit(10):
+            assert member_certificate(gens, Vec2(*target)) == expected
 
 
 def reference_all_representations(generators, target):
