@@ -14,14 +14,19 @@ of a and a+kd, gets a per-tuple level frame (`_level_frame`), and
 `member_certificate` answers over it by arithmetic: the same certificate the
 search below finds, at any coordinate size.
 
-Every other tuple is decided by an exact depth-first search over residual
-vectors (`_dfs_certificate`). It tries the generators in index order, first
-generator first, so its certificate is the lexicographically largest
-representation; it keeps one dict entry per residual it decides, for one call
-only, and runs on an explicit stack, so its depth is not bounded by Python's
-recursion limit. It needs every generator to have positive coordinate sum, so
-that each step lowers the residual's sum and the search terminates; it raises
-ValueError on a generator that has not.
+Each membership routine has one domain, and raises ValueError outside it:
+- `member_certificate` takes any tuple of nonzero points of N^2. A tuple
+  without a level frame is decided by an exact depth-first search over
+  residual vectors (`_dfs_certificate`). It tries the generators in index
+  order, first generator first, so its certificate is the lexicographically
+  largest representation; it keeps one dict entry per residual it decides,
+  for one call only, and runs on an explicit stack, so its depth is not
+  bounded by Python's recursion limit. With every generator nonzero and in
+  N^2, each step lowers the residual's coordinate sum, so the search ends,
+  and every residual of a representation lies in N^2, so pruning the others
+  is exact.
+- `all_representations` takes a progression a, ..., a+kd in N^2 with
+  det(a, d) != 0, and enumerates over its level frame.
 Apery sets come in two independent flavours, a closed form and a brute-force
 enumeration straight from the definition, so each can check the other.
 """
@@ -279,9 +284,8 @@ def member_certificate(
     det(a, d) != 0, optionally followed by one nonzero b in the closed cone
     of a and a+kd) is answered in O(1) arithmetic on the target's level
     coordinates, whatever their size. Every other tuple runs the search, one
-    dict entry per residual on an explicit stack, which needs every
-    generator to have positive coordinate sum: it raises ValueError naming
-    the first generator that has not.
+    dict entry per residual on an explicit stack, which takes only nonzero
+    points of N^2: it raises ValueError naming the first generator outside.
     """
     gens = tuple(generators)
     frame = _level_frame(gens)
@@ -290,36 +294,30 @@ def member_certificate(
     return _dfs_certificate(gens, target)
 
 
-def _require_positive_sums(gens: tuple) -> None:
-    """Raise ValueError on the first generator whose coordinate sum is not
-    positive: the searches below lower the residual's sum at every step and
-    would never end on it."""
-    for gx, gy in gens:
-        if gx + gy <= 0:
-            raise ValueError(
-                f"generator ({gx}, {gy}) has coordinate sum {gx + gy}; "
-                "membership search needs every sum positive"
-            )
-
-
 def _dfs_certificate(
     gens: tuple[Vec2, ...], target: Vec2
 ) -> Optional[tuple[int, ...]]:
     """`member_certificate` by depth-first search over residuals, for any
-    tuple of generators with positive coordinate sums (ValueError otherwise).
+    tuple of nonzero generators in N^2 (ValueError otherwise).
 
     first[u] is the index of the first generator g with u - g in S, or -1
     when u is not in S: one entry per decided residual, kept for this call.
-    The residual on top of the stack is scanned from g_0. Its first
-    nonnegative child not yet decided is pushed, and its scan starts again
-    from g_0 when the search returns to it; it is decided at its first child
-    in S, or as -1 once the scan finds none. Each child has a smaller
-    coordinate sum, so the search ends, and the stack is explicit, so its
-    depth is not bounded by Python's recursion limit. The certificate read
-    from first takes g_0 as often as the rest stays in S, then g_1, and so
-    on: the lexicographically largest representation.
+    The residual on top of the stack is scanned from g_0. Its first child in
+    N^2 not yet decided is pushed, and its scan starts again from g_0 when
+    the search returns to it; it is decided at its first child in S, or as
+    -1 once the scan finds none. S lies in N^2, so a child outside N^2 is
+    not in S; each child has a smaller coordinate sum, so the search ends,
+    and the stack is explicit, so its depth is not bounded by Python's
+    recursion limit. The certificate read from first takes g_0 as often as
+    the rest stays in S, then g_1, and so on: the lexicographically largest
+    representation.
     """
-    _require_positive_sums(gens)
+    for gx, gy in gens:
+        if gx < 0 or gy < 0 or gx == gy == 0:
+            raise ValueError(
+                f"generator ({gx}, {gy}) is not a nonzero point of N^2; "
+                "membership search needs every generator to be one"
+            )
     tx, ty = target
     if tx < 0 or ty < 0:
         return None
@@ -361,44 +359,22 @@ def _dfs_certificate(
 def all_representations(
     generators: Iterable[Vec2], target: Vec2
 ) -> list[tuple[int, ...]]:
-    """Every coefficient vector representing target over the generators, in
-    lexicographic order.
+    """Every coefficient vector representing target over a progression
+    a, a+d, ..., a+kd in N^2 with det(a, d) != 0, in lexicographic order.
 
-    Over a progression a, ..., a+kd with a level frame the search visits only
+    The enumeration runs over the progression's level frame and visits only
     branches that end in a representation (`_LevelFrame.representations`).
-    Any other tuple needs every generator to have positive coordinate sum
-    (ValueError otherwise).
+    Any other tuple, a glued one included, raises ValueError naming it.
     """
     gens = tuple(generators)
     frame = _level_frame(gens)
-    if frame is not None and frame.b is None:
-        return frame.representations(target)
-    _require_positive_sums(gens)
-    n = len(gens)
-    out: list[tuple[int, ...]] = []
-    counts = [0] * n
-
-    def rec(i: int, residual: Vec2) -> None:
-        if residual.is_zero():
-            # counts[i:] is still zero: rec(i, .) is entered before g_i is set
-            out.append(tuple(counts))
-            return
-        if i == n:
-            return
-        g = gens[i]
-        cmax = residual.coord_sum() // g.coord_sum()
-        if g.x > 0:
-            cmax = min(cmax, residual.x // g.x)
-        if g.y > 0:
-            cmax = min(cmax, residual.y // g.y)
-        for c in range(cmax + 1):
-            counts[i] = c
-            rec(i + 1, residual - c * g)
-        counts[i] = 0
-
-    if target.is_nonnegative():
-        rec(0, target)
-    return out
+    if frame is None or frame.b is not None:
+        named = ", ".join(f"({x}, {y})" for x, y in gens)
+        raise ValueError(
+            f"generators {named} are not a progression a, a+d, ..., a+kd "
+            "in N^2 with det(a, d) != 0"
+        )
+    return frame.representations(target)
 
 
 def _validate_extension(

@@ -88,7 +88,7 @@ def default_box(f: SemigroupFamily) -> EnumerationBox:
     # 3x the largest generator coordinate. For some k = 4 families and most
     # k >= 5 and glued ones this leaves Hilbert-numerator terms outside the
     # box, where the truncation check cannot see a wrong coefficient
-    # (ROADMAP item 2).
+    # (ROADMAP item 16).
     cap = 3 * max(max(g.x, g.y) for g in f.all_generators)
     return EnumerationBox(cap, cap)
 

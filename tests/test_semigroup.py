@@ -184,8 +184,10 @@ def time_limit(seconds):
 
 
 class TestSearchPrecondition:
-    """The residual search lowers the residual's coordinate sum at every
-    step, so a generator whose sum is not positive is refused up front."""
+    """Each membership routine refuses, at once, a tuple outside its domain:
+    the residual search takes nonzero generators in N^2, where its pruning of
+    residuals outside N^2 is exact, and `all_representations` takes
+    progressions a, ..., a+kd in N^2 with det(a, d) != 0."""
 
     @pytest.mark.parametrize(
         "gens, target, bad",
@@ -202,18 +204,49 @@ class TestSearchPrecondition:
 
     def test_all_representations_refuses_the_zero_generator(self):
         start = time.perf_counter()
-        with time_limit(0.5), pytest.raises(ValueError, match=r"generator \(0, 0\)"):
+        with time_limit(0.5), pytest.raises(
+            ValueError, match=r"^generators \(0, 0\), \(1, 0\) are not a progression"
+        ):
             all_representations((Vec2(0, 0), Vec2(1, 0)), Vec2(1, 0))
         assert time.perf_counter() - start < 0.1
 
-    def test_positive_sums_with_a_negative_coordinate_stay_searchable(self):
-        # every generator of this progression has coordinate sum 2
-        gens = progression((2, 0), (-1, 1), 3)
-        assert semigroup._level_frame(gens) is None
-        with time_limit(5):
-            assert member_certificate(gens, Vec2(4, 2)) == (2, 0, 1, 0)
-            assert member_certificate(gens, Vec2(1, 0)) is None
-            assert all_representations(gens, Vec2(2, 2)) == [(0, 2, 0, 0), (1, 0, 1, 0)]
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            # glued: the showcase, base then b
+            (Vec2(2, 3), Vec2(4, 5), Vec2(6, 7), Vec2(8, 9), Vec2(9, 11)),
+            # in N^2 but no progression, a progression with det(a, d) = 0,
+            # and a single generator
+            (Vec2(3, 1), Vec2(1, 2), Vec2(2, 2), Vec2(1, 1)),
+            (Vec2(1, 1), Vec2(2, 2), Vec2(3, 3)),
+            (Vec2(2, 1),),
+        ],
+        ids=["glued", "no-progression", "collinear", "single"],
+    )
+    def test_all_representations_takes_progressions_only(self, gens):
+        named = ", ".join(f"\\({x}, {y}\\)" for x, y in gens)
+        start = time.perf_counter()
+        with time_limit(0.5), pytest.raises(ValueError, match=f"^generators {named} "):
+            all_representations(gens, Vec2(18, 22))
+        assert time.perf_counter() - start < 0.1
+
+    def test_generators_outside_n2_are_refused(self):
+        # (1,1) = (2,-1) + (-1,2), yet a search that prunes residuals outside
+        # N^2 answers None there; the progression's generators all have
+        # coordinate sum 2, and its last, (-1, 3), leaves N^2
+        cases = [
+            ((Vec2(2, -1), Vec2(-1, 2)), Vec2(1, 1), r"\(2, -1\)"),
+            (progression((2, 0), (-1, 1), 3), Vec2(4, 2), r"\(-1, 3\)"),
+        ]
+        for gens, target, bad in cases:
+            assert semigroup._level_frame(gens) is None
+            start = time.perf_counter()
+            with time_limit(0.5):
+                with pytest.raises(ValueError, match=f"^generator {bad} "):
+                    member_certificate(gens, target)
+                with pytest.raises(ValueError, match="^generators .* are not a progression"):
+                    all_representations(gens, target)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestSearchPremise:
@@ -300,6 +333,38 @@ class TestSearchPremise:
             searched.clear()
         assert total == searches
 
+    # seed-0 enumerations per workload: one per glued family, over its base
+    @pytest.mark.parametrize(
+        "workload, enumerations",
+        [("analyze-sweep", 0), ("glued-verify", 13), ("wide-verify", 0)],
+    )
+    def test_every_benchmark_enumeration_is_over_a_base_progression(
+        self, monkeypatch, capsys, workload, enumerations
+    ):
+        from apsemigroups import cli
+
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        calls = workloads.generate(workload, workloads.DEFAULT_SEED)
+        original = semigroup.all_representations
+        seen = []  # (calling code, level frame) per call
+
+        def spy(generators, target):
+            gens = tuple(generators)
+            seen.append((sys._getframe(1).f_code, semigroup._level_frame(gens)))
+            return original(gens, target)
+
+        monkeypatch.setattr(semigroup, "all_representations", spy)
+
+        for argv in calls:
+            assert cli.main(list(argv)) == 0
+            capsys.readouterr()
+        caller = semigroup._validate_extension.__code__
+        assert all(code is caller for code, _ in seen)
+        assert all(frame is not None and frame.b is None for _, frame in seen)
+        assert len(seen) == enumerations
+
 
 def reference_member_certificate(generators, target, memo=None):
     """The membership search as it ran on Vec2 residuals, memo keyed by Vec2."""
@@ -379,13 +444,14 @@ class TestMembershipProperties:
             for v in vs:
                 expected = reference_member_certificate(gens, v, memo)
                 assert member_certificate(gens, v) == expected
-                assert (expected is None) == (not all_representations(gens, v))
+                assert (expected is None) == (not reference_all_representations(gens, v))
 
         check()
 
     def test_certificate_is_the_largest_representation(self, hypothesis):
         # an oracle that shares no code with either search: the certificate
-        # is the lexicographically largest of all representations
+        # is the lexicographically largest of all representations, by the
+        # unpruned enumeration
         st = hypothesis.strategies
         vectors = st.builds(Vec2, st.integers(0, 6), st.integers(0, 6))
         generators = st.lists(
@@ -403,7 +469,7 @@ class TestMembershipProperties:
         @hypothesis.given(generators, targets)
         def check(gens, vs):
             for v in vs:
-                expected = max(all_representations(gens, v), default=None)
+                expected = max(reference_all_representations(gens, v), default=None)
                 assert member_certificate(gens, v) == expected, (gens, v)
 
         check()
@@ -427,7 +493,9 @@ class TestMembershipProperties:
 
 def reference_all_representations(generators, target):
     """Every representation by the unpruned search over all coefficient
-    ranges, as `all_representations` ran before it pruned progressions."""
+    ranges, for any nonzero generators in N^2. It judges
+    `all_representations` over progressions and the search's certificates
+    over every tuple."""
     gens = tuple(generators)
     n = len(gens)
     out = []
@@ -532,8 +600,8 @@ class TestLevelFrame:
             (progression((1, 0), (0, 1), 2, (1, 1), (1, 1)), False),
             ((Vec2(1, 0), Vec2(1, 0), Vec2(0, 1)), False),
             ((Vec2(3, 1), Vec2(1, 2), Vec2(2, 2), Vec2(1, 1)), False),
-            # a progression that leaves N^2, and a single generator
-            (progression((2, 0), (-1, 1), 3), False),
+            # a progression with det(a, d) = 0, and a single generator
+            (progression((1, 1), (1, 1), 2), False),
             ((Vec2(2, 1),), False),
         ],
     )
@@ -560,9 +628,11 @@ class TestLevelFrame:
         for k in (2, 3, 4):
             f = random_extended_family(rng, k)
             target = f.extension_mu * f.extension
-            for gens in (f.generators, f.all_generators):
-                expected = reference_all_representations(gens, target)
-                assert all_representations(gens, target) == expected
+            expected = reference_all_representations(f.generators, target)
+            assert all_representations(f.generators, target) == expected
+            # a glued tuple is no progression
+            with pytest.raises(ValueError, match="are not a progression"):
+                all_representations(f.all_generators, target)
 
 
 class TestLevelFrameScale:
