@@ -32,6 +32,7 @@ from .errors import (
     BoxTooLarge,
     CapTooSmall,
     DependentDirections,
+    ExponentTooLarge,
     FamilyError,
     InfiniteDimension,
     NotHomogeneous,
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .lattice import Vec2, det, in_lattice, ray_coordinates
 from .polynomials import (
+    MAX_EXPONENT,
     Grading,
     GroebnerBasis,
     MonomialOrder,

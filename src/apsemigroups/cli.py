@@ -115,7 +115,10 @@ def _jpoly(p: Polynomial) -> dict:
     terms = sorted(p.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
     return {
         "text": str(p),
-        "terms": [[int(c) if c.denominator == 1 else str(c), m] for m, c in terms],
+        "terms": [
+            [int(c) if c.denominator == 1 else str(c), p.ring.exponents(m)]
+            for m, c in terms
+        ],
     }
 
 

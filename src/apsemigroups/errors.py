@@ -52,3 +52,8 @@ class NotHomogeneous(ValueError):
 
 class CapTooSmall(UserWarning):
     """Enumeration boundary still contains candidates; raise the cap."""
+
+
+class ExponentTooLarge(ValueError):
+    """An exponent exceeds the largest one a packed monomial holds,
+    2^31 - 1 (see `polynomials.MAX_EXPONENT`)."""

@@ -1,40 +1,61 @@
 """Exact multivariate polynomial arithmetic over Q with N^2 multigrading.
 
-Monomials are dense exponent tuples (the rings here have at most k+4
-variables), polynomials are monomial -> coefficient maps, and every
-computation is exact. The engine provides the three monomial orders the
-package needs (graded reverse lexicographic, lexicographic, block
-elimination), division with deterministic reducer selection, Buchberger's
-completion with the coprime-pair skip, and elimination-based toric kernels.
+A monomial is a packed exponent vector: one int, with the exponent e_i of
+variable i in bits [32i, 32i + 32). The top bit of every field is a guard
+that stays 0, so an exponent is at most MAX_EXPONENT = 2^31 - 1, and one
+int operation acts on all fields at once (packed exponent vectors, as in
+Bachmann and Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998). With G the guard bits of every field:
+
+- product and shift: m + s; no field carries into the next, and a field
+  that passes MAX_EXPONENT sets its guard bit, which raises ExponentTooLarge;
+- quotient: m - s, where s divides m;
+- divisibility: s divides m iff ((m | G) - s) & G == G. Each field of
+  m | G is 2^31 + e_i(m), so subtracting e_i(s) borrows from no other field
+  and keeps the guard bit exactly when e_i(m) >= e_i(s);
+- lcm: with d = (m | G) - s, the guard bits d keeps mark the fields where m
+  is the larger; spread over their fields they select d's low bits,
+  e_i(m) - e_i(s), which added to s give the maximum;
+- coprimality: e_i + 2^31 - 1 sets the guard bit exactly when e_i > 0, so
+  two monomials are coprime iff no field sets it in both.
+
+Polynomials are maps from these ints to coefficients. A ring packs exponent
+vectors where they enter (`PolynomialRing.pack`, and `poly`, `monomial`,
+`binomial`, `one` and `var`, which build through it): a vector of the wrong
+length or with a negative entry is refused with ValueError, one with an
+entry above MAX_EXPONENT with ExponentTooLarge, each naming the vector.
+`PolynomialRing.exponents` unpacks a monomial where it leaves (`str()` and
+the command line's JSON). Everything between, `Polynomial.terms`,
+`leading_term`, `leading_monomial`, `standard_monomials`, the `mono_*`
+helpers and `order.key`, takes and returns packed ints.
 
 A coefficient is an `int` when it is integral and a `Fraction` otherwise,
 and every division of coefficients is a `Fraction` division. One routine,
 `_add_terms`, adds c * x^s * p into a term dict in place: it drops what
 cancels and stores the rest through `_coef`. Sums, differences, products,
 scalings, shifts, S-polynomials and division steps all run through it, so
-each of them keeps that rule, and none builds a throwaway polynomial along
-the way. Every ideal the package completes is a pure-difference binomial
-ideal, whose Buchberger steps keep every coefficient at +-1 (Eisenbud and
-Sturmfels, "Binomial ideals", Duke Math. J. 84 (1996), Prop. 1.1), so its
-arithmetic stays on ints.
+each of them keeps that rule and the guard check, and none builds a
+throwaway polynomial along the way. Every ideal the package completes is a
+pure-difference binomial ideal, whose Buchberger steps keep every
+coefficient at +-1 (Eisenbud and Sturmfels, "Binomial ideals", Duke Math. J.
+84 (1996), Prop. 1.1), so its arithmetic stays on ints.
 
-Each order compiles its key function once, when it is built, from
-`operator.itemgetter` over its precedence. A grevlex key is one int that
-orders as the tuple (D, -e_n, ..., -e_1), D the degree over the
-precedence: with w = max(1, ceil(bitlen(D) / 8)) bytes per exponent, it is
-D * 2^(8wn) minus the exponents e_n, ..., e_1 read as unsigned w-byte
-big-endian fields. Within a degree, subtracting the fields orders
-(-e_n, ..., -e_1) lexicographically; across degrees, the fields lie in
-[0, 2^(8wn)) and 2^(8wn) never shrinks as D grows, so the key rises strictly
-with D. So the pair scan, `leading_term` and `reduce` compare ints. An
-elimination key is the pair of its two blocks' grevlex keys (that order has
-type omega^2, which no single int can encode), and a lex key the exponents
-themselves. Grevlex and elimination keys refuse a negative exponent with a
-ValueError naming the monomial; lex keys take any int. `PolynomialRing.poly`
-and `PolynomialRing.monomial` (and `binomial`, `one` and `var`, which build
-through them) refuse an exponent vector of the wrong length or with a
-negative entry, naming it, so no such monomial is stored.
-It memoises the key per order in a plain dict that fills on a miss and
+Each order compiles its key function once, when it is built, and every key
+is one int. A grevlex key over the precedence p_1, ..., p_n is
+D * 2^(32n) - F, with D the degree over the precedence and F the exponents
+e_(p_1), ..., e_(p_n) packed as n 32-bit fields, e_(p_n) in the top one.
+Within a degree, -F orders as the tuple (-e_(p_n), ..., -e_(p_1));
+across degrees, 0 <= F < 2^(32n) puts the key in ((D - 1) * 2^(32n),
+D * 2^(32n)], so it rises strictly with D. An elimination key is
+(H << W) + T + 2^(32t), with H and T the grevlex keys of its two blocks, t
+the size of the tail block and W = 32t + 32 + bitlen(t): every exponent is
+at most 2^31 - 1, so T + 2^(32t) lies in (0, 2^W) and the int orders as the
+pair (H, T). A lex key packs the exponents over the precedence with the
+first one in the top field. A key refuses a negative int with ValueError
+naming it. So the pair scan, `leading_term` and `reduce` compare ints, and
+the memo below hashes ints.
+
+The key is memoised per order in a plain dict that fills on a miss and
 empties itself at `_KEY_MEMO_BOUND` entries. `order.key` is that dict's
 bound `__getitem__`, fetched by a C-level getter, so `order.key(m)`,
 `map(order.key, ...)` and `max(..., key=order.key)` run no Python frame on
@@ -61,20 +82,28 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, attrgetter, ge, itemgetter, le, sub
+from operator import attrgetter, itemgetter
+from struct import Struct
+from struct import error as StructError
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import InfiniteDimension, NotHomogeneous
+from .errors import ExponentTooLarge, InfiniteDimension, NotHomogeneous
 from .lattice import Vec2
 from .semigroup import SemigroupFamily, Witnessed
 
-Mono = tuple[int, ...]
+# a packed exponent vector (see the module docstring)
+Mono = int
 
 # a coefficient: an int when integral, else a Fraction (see _coef)
 Coef = Union[int, Fraction]
 
-# an order key: one int (grevlex), an int pair (elimination), a tuple (lex)
-Key = Union[int, tuple[int, ...]]
+# an order key: one int for every kind
+Key = int
+
+# Bits per exponent field. The top bit of each is the guard, so the largest
+# exponent a monomial holds is 2^31 - 1.
+_WIDTH = 32
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 
 # Entries per order in the key memo, which empties itself when it reaches
 # this size; `order.key` is the memo's own lookup, so a hit costs one dict
@@ -83,36 +112,81 @@ Key = Union[int, tuple[int, ...]]
 # package's own workloads held 3,563 keys (analyze at k = 14).
 _KEY_MEMO_BOUND = 2**14
 
+_from_bytes = int.from_bytes
+
 
 # ---------------------------------------------------------------------------
-# monomial helpers
+# packed monomials
+
+
+class _Layouts(dict):
+    """n -> (the Struct of n little-endian 32-bit fields, their guard bits),
+    built on first use."""
+
+    def __missing__(self, n: int):
+        ones = ((1 << (_WIDTH * n)) - 1) // ((1 << _WIDTH) - 1)  # 1 per field
+        layout = self[n] = (Struct(f"<{n}I"), ones << (_WIDTH - 1))
+        return layout
+
+
+_LAYOUTS = _Layouts()
+
+
+def _guard_for(m: int) -> int:
+    """The guard bits of every field up to the highest set bit of m."""
+    return _LAYOUTS[(m.bit_length() + _WIDTH - 1) // _WIDTH][1]
+
+
+def _fields(m: int) -> tuple[int, ...]:
+    """Every field of m up to its highest set bit, e_0 first."""
+    n = (m.bit_length() + _WIDTH - 1) // _WIDTH
+    return _LAYOUTS[n][0].unpack(m.to_bytes(4 * n, "little"))
+
+
+def _too_large() -> ExponentTooLarge:
+    return ExponentTooLarge(
+        f"an exponent exceeds {MAX_EXPONENT} = 2^31 - 1, the largest one a "
+        "monomial holds"
+    )
+
+
+def _lcm(m1: Mono, m2: Mono, guard: int) -> Mono:
+    """The fieldwise maximum of m1 and m2, guard covering both."""
+    d = (m1 | guard) - m2
+    keep = d & guard  # the guard bit of every field where m1 >= m2
+    return m2 + (d & (keep - (keep >> (_WIDTH - 1))))
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return tuple(map(add, m1, m2))
+    m = m1 + m2
+    if m & _guard_for(m):
+        raise _too_large()
+    return m
 
 
 def mono_divides(m1: Mono, m2: Mono) -> bool:
-    return all(map(le, m1, m2))
+    guard = _guard_for(m1 | m2)
+    return ((m2 | guard) - m1) & guard == guard
 
 
 def mono_div(m1: Mono, m2: Mono) -> Mono:
-    if not all(map(ge, m1, m2)):
+    if not mono_divides(m2, m1):
         raise ArithmeticError(f"{m2} does not divide {m1}")
-    return tuple(map(sub, m1, m2))
+    return m1 - m2
 
 
 def mono_lcm(m1: Mono, m2: Mono) -> Mono:
-    return tuple(map(max, m1, m2))
+    return _lcm(m1, m2, _guard_for(m1 | m2))
 
 
 def mono_degree(m: Mono) -> int:
-    return sum(m)
+    return sum(_fields(m))
 
 
 def mono_coprime(m1: Mono, m2: Mono) -> bool:
-    # exponents are never negative, so min is 0 exactly where one of them is
-    return not any(map(min, m1, m2))
+    guard = _guard_for(m1 | m2)
+    low = guard - (guard >> (_WIDTH - 1))  # 2^31 - 1 in every field
+    return not (m1 + low) & (m2 + low) & guard
 
 
 def _coef(c) -> Coef:
@@ -130,13 +204,17 @@ def _inverse(c: Coef) -> Coef:
 
 
 def _add_terms(
-    acc: dict, terms: dict, shift: Optional[Mono] = None, c: Coef = 1
+    acc: dict, terms: dict, shift: Mono = 0, c: Coef = 1, guard: int = 0
 ) -> dict:
     """acc += c * x^shift * terms, in place, and acc. A coefficient that
-    cancels is dropped and every other one is stored by `_coef`."""
+    cancels is dropped and every other one is stored by `_coef`. A nonzero
+    shift takes the ring's guard bits, and a shifted monomial that sets one
+    raises ExponentTooLarge."""
     for m, v in terms.items():
-        if shift is not None:
-            m = tuple(map(add, m, shift))
+        if shift:
+            m += shift
+            if m & guard:
+                raise _too_large()
         v = acc.get(m, 0) + c * v
         if type(v) is not int:
             v = _coef(v)
@@ -151,7 +229,7 @@ def _add_product(acc: dict, f: "Polynomial", g: "Polynomial", c: Coef = 1) -> di
     """acc += c * f * g, in place, and acc."""
     if g.terms:
         for m, v in f.terms.items():
-            _add_terms(acc, g.terms, m, c * v)
+            _add_terms(acc, g.terms, m, c * v, f.ring._guard)
     return acc
 
 
@@ -160,10 +238,12 @@ def _add_product(acc: dict, f: "Polynomial", g: "Polynomial", c: Coef = 1) -> di
 
 
 class PolynomialRing:
-    """Q[names]; owns variable names and builds polynomials."""
+    """Q[names]; owns variable names, builds polynomials, and packs and
+    unpacks their monomials."""
 
     def __init__(self, names: Sequence[str]):
         self.names = tuple(names)
+        self._layout, self._guard = _LAYOUTS[len(self.names)]
 
     @property
     def nvars(self) -> int:
@@ -180,34 +260,54 @@ class PolynomialRing:
         exps[i] = 1
         return self.monomial(tuple(exps))
 
-    def _exponents(self, exps) -> Mono:
-        """exps as a tuple, refused with ValueError unless it has one entry
-        >= 0 per variable."""
+    def pack(self, exps) -> Mono:
+        """The monomial with exponent vector exps, refused with ValueError
+        unless it has one int entry >= 0 per variable, and with
+        ExponentTooLarge for an entry above MAX_EXPONENT."""
         m = tuple(exps)
-        if len(m) != len(self.names) or m and min(m) < 0:
+        if len(m) != len(self.names):
             raise ValueError(
                 f"exponent vector {m} has length {len(m)}; the ring has "
                 f"{self.nvars} variables"
-                if len(m) != self.nvars
-                else f"exponent vector {m} has a negative entry"
             )
-        return m
+        try:
+            packed = _from_bytes(self._layout.pack(*m), "little")
+        except StructError:
+            packed = None  # an entry < 0, >= 2^32 or not an int
+        if packed is None or packed & self._guard:
+            if not all(isinstance(e, int) for e in m):
+                raise ValueError(f"exponent vector {m} has an entry that is not an int")
+            if min(m) < 0:
+                raise ValueError(f"exponent vector {m} has a negative entry")
+            raise ExponentTooLarge(
+                f"exponent vector {m} has an entry above {MAX_EXPONENT} = "
+                "2^31 - 1, the largest exponent a monomial holds"
+            )
+        return packed
 
-    def monomial(self, exps: Mono, coeff=1) -> "Polynomial":
-        m = self._exponents(exps)
+    def exponents(self, m: Mono) -> tuple[int, ...]:
+        """The exponent vector of the packed monomial m, variable 0 first."""
+        try:
+            return self._layout.unpack(m.to_bytes(4 * len(self.names), "little"))
+        except OverflowError:
+            raise ValueError(f"{m} is not a monomial of {self!r}") from None
+
+    def monomial(self, exps, coeff=1) -> "Polynomial":
+        m = self.pack(exps)
         c = _coef(coeff)
         return Polynomial(self, {m: c} if c else {})
 
     def poly(self, terms: dict) -> "Polynomial":
+        """The polynomial with terms {exponent vector: coefficient}."""
         cleaned = {}
-        for m, c in terms.items():
-            m = self._exponents(m)
+        for exps, c in terms.items():
+            m = self.pack(exps)
             c = _coef(c)
             if c:
                 cleaned[m] = c
         return Polynomial(self, cleaned)
 
-    def binomial(self, plus: Mono, minus: Mono) -> "Polynomial":
+    def binomial(self, plus, minus) -> "Polynomial":
         return self.poly({plus: 1, minus: -1})
 
     def __eq__(self, other) -> bool:
@@ -224,7 +324,8 @@ _DISPLAY_CACHE: dict[int, "MonomialOrder"] = {}
 
 
 class Polynomial:
-    """Immutable-by-convention Q-polynomial; do not mutate .terms."""
+    """Immutable-by-convention Q-polynomial; do not mutate .terms, a map
+    from packed monomials to coefficients."""
 
     __slots__ = ("ring", "terms")
 
@@ -263,7 +364,10 @@ class Polynomial:
 
     def mul_monomial(self, mono: Mono, coeff=1) -> "Polynomial":
         c = _coef(coeff)
-        return Polynomial(self.ring, _add_terms({}, self.terms, mono, c) if c else {})
+        return Polynomial(
+            self.ring,
+            _add_terms({}, self.terms, mono, c, self.ring._guard) if c else {},
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -277,11 +381,11 @@ class Polynomial:
 
     def _mono_str(self, m: Mono) -> str:
         parts = []
-        for i, e in enumerate(m):
+        for name, e in zip(self.ring.names, self.ring.exponents(m)):
             if e == 1:
-                parts.append(self.ring.names[i])
+                parts.append(name)
             elif e > 1:
-                parts.append(f"{self.ring.names[i]}^{e}")
+                parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
     def __str__(self) -> str:
@@ -316,52 +420,72 @@ class Polynomial:
 # monomial orders
 
 
-def _picker(idxs: tuple[int, ...]) -> Callable[[Mono], tuple[int, ...]]:
-    """m -> tuple(m[i] for i in idxs); itemgetter alone returns a bare entry
+def _picker(idxs: tuple[int, ...]) -> Callable[[tuple], tuple[int, ...]]:
+    """v -> tuple(v[i] for i in idxs); itemgetter alone returns a bare entry
     for one index and cannot be built for none."""
     if not idxs:
-        return lambda m: ()
+        return lambda v: ()
     if len(idxs) == 1:
         (i,) = idxs
-        return lambda m: (m[i],)
+        return lambda v: (v[i],)
     return itemgetter(*idxs)
+
+
+def _unpacker(idxs: tuple[int, ...]) -> Callable[[Mono], tuple[int, ...]]:
+    """m -> (e_i for i in idxs): the fields below the largest index,
+    unpacked at once and picked in precedence order."""
+    n = max(idxs, default=-1) + 1
+    mask = (1 << (_WIDTH * n)) - 1
+    unpack = _LAYOUTS[n][0].unpack
+    if idxs == tuple(range(n)):
+        return lambda m: unpack((m & mask).to_bytes(4 * n, "little"))
+    pick = _picker(idxs)
+    return lambda m: pick(unpack((m & mask).to_bytes(4 * n, "little")))
 
 
 def _compile_grevlex(idxs: tuple[int, ...]) -> Callable[[Mono], int]:
     """The grevlex key over idxs as one int that orders exactly as the
-    tuple (D, -e_n, ..., -e_1), D the degree over idxs.
-
-    With exps = (e_n, ..., e_1), the exponents from the last index to the
-    first, and w = max(1, ceil(bitlen(D) / 8)) bytes per field, the key is
-    D * B - F, where B = 2^(8wn) and F reads exps as n unsigned w-byte
-    big-endian fields (each e <= D < 2^(8w) fits its field). Within one
-    degree, -F orders as (-e_n, ..., -e_1) lexicographically. Across
-    degrees, 0 <= F < B puts key(D) in ((D - 1) * B, D * B], and B never
-    shrinks as D grows, so the key rises strictly with D. A negative
-    exponent fits no unsigned field and raises ValueError naming the
-    monomial.
+    tuple (D, -e_n, ..., -e_1), D the degree over idxs and e_1, ..., e_n
+    the exponents in precedence order: D * 2^(32n) - F, F the exponents
+    packed with e_1 in the lowest field. Within one degree, -F orders as
+    (-e_n, ..., -e_1); across degrees, 0 <= F < 2^(32n) puts key(D) in
+    ((D - 1) * 2^(32n), D * 2^(32n)], so the key rises strictly with D.
     """
-    pick = _picker(idxs[::-1])
-    nbits = 8 * len(idxs)  # the bits of n one-byte fields
-    from_bytes = int.from_bytes
+    exponents = _unpacker(idxs)
+    pack = _LAYOUTS[len(idxs)][0].pack
+    shift = _WIDTH * len(idxs)
 
     def key(m: Mono) -> int:
-        exps = pick(m)
-        d = sum(exps)
-        try:
-            if d < 256:
-                # every field fits one byte; bytes() refuses any outside 0..255
-                return (d << nbits) - from_bytes(bytes(exps), "big")
-            w = (d.bit_length() + 7) // 8
-            fields = b"".join([e.to_bytes(w, "big") for e in exps])
-        except (ValueError, OverflowError):
-            raise ValueError(
-                f"monomial {m} has a negative exponent; grevlex keys take "
-                "exponents >= 0"
-            ) from None
-        return (d << (w * nbits)) - from_bytes(fields, "big")
+        exps = exponents(m)
+        return (sum(exps) << shift) - _from_bytes(pack(*exps), "little")
 
     return key
+
+
+def _compile_elim(idxs: tuple[int, ...], block: int) -> Callable[[Mono], int]:
+    """The elimination key as one int that orders as the pair (H, T) of the
+    grevlex keys of idxs[:block] and idxs[block:]: (H << W) + T + 2^(32t),
+    t = len(idxs) - block. T + 2^(32t) lies in (0, (D + 1) * 2^(32t)] for
+    the tail degree D <= t * (2^31 - 1), so below 2^W for
+    W = 32t + 32 + bitlen(t), and the low W bits order as T does."""
+    head = _compile_grevlex(idxs[:block])
+    tail = _compile_grevlex(idxs[block:])
+    t = len(idxs) - block
+    offset = 1 << (_WIDTH * t)
+    width = _WIDTH * (t + 1) + t.bit_length()
+
+    def key(m: Mono) -> int:
+        return (head(m) << width) + tail(m) + offset
+
+    return key
+
+
+def _compile_lex(idxs: tuple[int, ...]) -> Callable[[Mono], int]:
+    """The lex key: the exponents over idxs packed with the first one in
+    the top field, so the int orders as their tuple."""
+    exponents = _unpacker(idxs)
+    pack = Struct(f">{len(idxs)}I").pack
+    return lambda m: _from_bytes(pack(*exponents(m)), "big")
 
 
 class _KeyMemo(dict):
@@ -374,6 +498,10 @@ class _KeyMemo(dict):
         self.compiled = compiled
 
     def __missing__(self, m: Mono):
+        if m < 0:
+            raise ValueError(
+                f"monomial {m} is negative; a packed monomial is an int >= 0"
+            )
         if len(self) >= _KEY_MEMO_BOUND:
             self.clear()
         k = self[m] = self.compiled(m)
@@ -394,6 +522,13 @@ class _KeyProperty(property):
         return self.fget(order)(m)
 
 
+_COMPILERS = {
+    "grevlex": lambda prec, block: _compile_grevlex(prec),
+    "lex": lambda prec, block: _compile_lex(prec),
+    "elim": _compile_elim,
+}
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total, multiplicative well-order on monomials.
@@ -405,13 +540,9 @@ class MonomialOrder:
     kind "elim": the first `block` precedence variables dominate; both blocks
     are compared by grevlex, so it eliminates the leading block.
 
-    A grevlex key is one int, D * 2^(8wn) - F: D the degree, F the exponents
-    from the last precedence variable to the first as n unsigned w-byte
-    fields, w = max(1, ceil(bitlen(D) / 8)). Within a degree, -F orders as
-    (-e_n, ..., -e_1); across degrees, 0 <= F < 2^(8wn), a bound that never
-    shrinks as D grows, so the key rises strictly with D. An elim key is the
-    pair of its blocks' grevlex keys; a lex key the picked exponents. Grevlex
-    and elim keys raise ValueError on a negative exponent.
+    Every key is one int (the module docstring gives the encodings): grevlex
+    D * 2^(32n) - F, elim the two blocks' grevlex keys H and T as
+    (H << W) + T + 2^(32t), lex the exponents packed in precedence order.
 
     The key function is compiled once, when the order is built, and memoised
     per order (at most _KEY_MEMO_BOUND monomials); an unknown kind raises
@@ -424,20 +555,9 @@ class MonomialOrder:
     _memo: _KeyMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prec = self.precedence
-        if self.kind == "grevlex":
-            compiled = _compile_grevlex(prec)
-        elif self.kind == "lex":
-            compiled = _picker(prec)
-        elif self.kind == "elim":
-            head = _compile_grevlex(prec[: self.block])
-            tail = _compile_grevlex(prec[self.block :])
-
-            def compiled(m: Mono) -> tuple[int, int]:
-                return head(m), tail(m)
-
-        else:
+        if self.kind not in _COMPILERS:
             raise ValueError(f"unknown order kind {self.kind!r}")
+        compiled = _COMPILERS[self.kind](self.precedence, self.block)
         object.__setattr__(self, "_memo", _KeyMemo(compiled))
 
     # monomial -> its sort key, read from the memo
@@ -504,17 +624,19 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
     work = dict(f.terms)
     remainder: dict[Mono, Coef] = {}
     key = order.key
+    guard = f.ring._guard
     while work:
         m = max(work, key=key)
         c = work.pop(m)
+        high = m | guard
         for r in reducers:
             lm = r[0]
-            if all(map(le, lm, m)):
+            if (high - lm) & guard == guard:
                 tail = r[2]
                 if tail is None:
                     tail = r[2] = _add_terms({}, r[3].terms, c=_inverse(r[1]))
                     del tail[lm]
-                _add_terms(work, tail, tuple(map(sub, m, lm)), -c)
+                _add_terms(work, tail, m - lm, -c, guard)
                 break
         else:
             remainder[m] = c
@@ -528,9 +650,10 @@ def s_polynomial(
     of the leading monomials, added into one term dict."""
     lmf, lcf = leading_term(f, order)
     lmg, lcg = leading_term(g, order)
-    gamma = mono_lcm(lmf, lmg)
-    terms = _add_terms({}, f.terms, mono_div(gamma, lmf), _inverse(lcf))
-    _add_terms(terms, g.terms, mono_div(gamma, lmg), -_inverse(lcg))
+    guard = f.ring._guard
+    gamma = _lcm(lmf, lmg, guard)
+    terms = _add_terms({}, f.terms, gamma - lmf, _inverse(lcf), guard)
+    _add_terms(terms, g.terms, gamma - lmg, -_inverse(lcg), guard)
     return Polynomial(f.ring, terms)
 
 
@@ -551,10 +674,9 @@ class GroebnerBasis:
 
 
 def _sort_basis(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    return sorted(
-        G, key=lambda g: (order.key(leading_monomial(g, order)), min(g.terms)),
-        reverse=True,
-    )
+    """G by descending leading monomial. Both callers pass a reduced basis,
+    whose leading monomials are distinct, so the keys never tie."""
+    return sorted(G, key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
 
 
 def _interreduce(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
@@ -587,17 +709,18 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasi
     """
     G = [monic(g, order) for g in gens if not g.is_zero()]
     lms = [leading_monomial(g, order) for g in G]
+    guard = G[0].ring._guard if G else 0
     # the pairs (i, j) in lexicographic order, and in the parallel list the
     # lcm of each pair's leading monomials, computed once when it is made;
     # the first least key is then the smallest pair among equal keys
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    lcms = [mono_lcm(lms[i], lms[j]) for i, j in pairs]
+    lcms = [_lcm(lms[i], lms[j], guard) for i, j in pairs]
     while pairs:
         keys = list(map(order.key, lcms))
         at = keys.index(min(keys))
         i, j = pairs.pop(at)
-        del lcms[at]
-        if mono_coprime(lms[i], lms[j]):
+        # coprime leading monomials are those whose lcm is their product
+        if lcms.pop(at) == lms[i] + lms[j]:
             continue
         r = reduce(s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero():
@@ -609,7 +732,7 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasi
         for t in range(new - 1, -1, -1):
             at = bisect_left(pairs, (t + 1,))
             pairs.insert(at, (t, new))
-            lcms.insert(at, mono_lcm(lms[t], lms[new]))
+            lcms.insert(at, _lcm(lms[t], lms[new], guard))
     return GroebnerBasis(order, tuple(_interreduce(G, order)))
 
 
@@ -660,7 +783,7 @@ def family_grading(f: SemigroupFamily) -> Grading:
 
 def multidegree(m: Mono, grading: Grading) -> Vec2:
     x = y = 0
-    for e, deg in zip(m, grading):
+    for e, deg in zip(_fields(m), grading):
         if e:
             x += e * deg.x
             y += e * deg.y
@@ -714,10 +837,14 @@ def toric_kernel(f: SemigroupFamily) -> GroebnerBasis:
         relations.append(big.poly({tuple(x_exps): 1, tuple(t_exps): -1}))
     gb = buchberger(relations, order)
 
+    # the elements free of t1, t2, with those two fields shifted out
+    t_fields = (1 << (2 * _WIDTH)) - 1
     kept = []
     for p in gb.elements:
-        if all(m[0] == 0 and m[1] == 0 for m in p.terms):
-            kept.append(xring.poly({m[2:]: c for m, c in p.terms.items()}))
+        if not any(m & t_fields for m in p.terms):
+            kept.append(
+                Polynomial(xring, {m >> (2 * _WIDTH): c for m, c in p.terms.items()})
+            )
     grading = family_grading(f)
     for p in kept:
         if not is_s_homogeneous(p, grading) or not vanishes_under_degree_map(
@@ -743,28 +870,34 @@ def standard_monomials(G: GroebnerBasis, cap: Optional[int] = None) -> list[Mono
     ring = G.elements[0].ring
     n = ring.nvars
     lms = [leading_monomial(g, G.order) for g in G.elements]
-    if any(mono_degree(m) == 0 for m in lms):
+    if 0 in lms:
         return []  # unit ideal
-    for v in range(n):
-        if not any(m[v] > 0 and mono_degree(m) == m[v] for m in lms):
+    # x_v's exponent field; m is a pure power of x_v iff m != 0 lies in it
+    steps = [1 << (_WIDTH * v) for v in range(n)]
+    for v, step in enumerate(steps):
+        field_v = step * ((1 << _WIDTH) - 1)
+        if not any(m & field_v == m for m in lms):
             raise InfiniteDimension(
                 f"no pure power of {ring.names[v]} among the leading terms"
             )
+    guard = ring._guard
 
     def is_standard(m: Mono) -> bool:
-        return not any(mono_divides(lm, m) for lm in lms)
+        high = m | guard
+        return not any((high - lm) & guard == guard for lm in lms)
 
-    origin = (0,) * n
-    seen = {origin}
-    queue = [origin]
+    # every exponent of a standard monomial stays below a pure power's, so
+    # a step never passes MAX_EXPONENT
+    seen = {0}
+    queue = [0]
     out = []
     while queue:
         m = queue.pop()
         out.append(m)
         if cap is not None and len(out) > cap:
             raise ValueError(f"staircase exceeds the cap of {cap} monomials")
-        for v in range(n):
-            m2 = m[:v] + (m[v] + 1,) + m[v + 1 :]
+        for step in steps:
+            m2 = m + step
             if m2 not in seen and is_standard(m2):
                 seen.add(m2)
                 queue.append(m2)

@@ -1,5 +1,7 @@
+import contextlib
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +87,22 @@ def property_settings(hypothesis):
     return hypothesis.settings(
         max_examples=150, derandomize=True, database=None, deadline=None
     )
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_fresh_python(code: str, *args: str, **env: str) -> str:

@@ -683,3 +683,14 @@ class TestGluedBudget:
         assert doc["extension"]["mu"] == 21
         assert doc["extension"]["apery_bruteforce"] == doc["extension"]["apery"]
         assert len(doc["extension"]["apery"]) == 42
+
+
+class TestExponentLimit:
+    def test_coordinate_past_the_limit_exits_2_at_once(self, capsys):
+        # the elimination cross-check builds t1^(2^31) * t2 and stops there
+        argv = ["verify", "--a", "2147483648,1", "--d", "1,0", "--k", "2"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv + ["--box-x", "3", "--box-y", "3"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "above 2147483647 = 2^31 - 1, the largest exponent a monomial holds" in err

@@ -1,6 +1,4 @@
-import contextlib
 import inspect
-import signal
 import sys
 import time
 from fractions import Fraction
@@ -30,7 +28,7 @@ from apsemigroups import (
     quasi_frobenius,
 )
 from apsemigroups import semigroup
-from conftest import random_extended_family, random_family
+from conftest import random_extended_family, random_family, time_limit
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -165,22 +163,6 @@ class TestMembership:
             "generators",
             "target",
         ]
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail, rather than hang, when the body runs longer than seconds."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSearchPrecondition:
