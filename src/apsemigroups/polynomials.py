@@ -56,15 +56,17 @@ naming it. So the pair scan, `leading_term` and `reduce` compare ints, and
 the memo below hashes ints.
 
 The key is memoised per order in a plain dict that fills on a miss and
-empties itself at `_KEY_MEMO_BOUND` entries. `order.key` is that dict's
-bound `__getitem__`, fetched by a C-level getter, so `order.key(m)`,
-`map(order.key, ...)` and `max(..., key=order.key)` run no Python frame on
-a memo hit; the property stays callable on the class,
+empties itself at `_KEY_MEMO_BOUND` entries. Each order stores that dict's
+bound `__getitem__` once, when it is built, and `order.key` returns the
+stored method through a C-level getter, so reading it makes no new bound
+method and `order.key(m)` and `min(..., key=order.key)` run no Python frame
+on a memo hit; the property stays callable on the class,
 `MonomialOrder.key(order, m)`, which is how the benchmark's tracer counts
-key calls. Buchberger's pairs sit in a list
-sorted by (i, j), next to a parallel list of the lcms of their leading
-monomials, and each scan takes the first least key among
-`map(order.key, lcms)` at C level.
+key calls. Buchberger's pairs sit in a list sorted by (i, j), next to a
+parallel list of the lcms of their leading monomials, and each scan takes
+the first least lcm by `min(lcms, key=order.key)` at C level; keys are
+injective, so that is the pair with the first least key. `leading_term`
+finds the largest key in one loop over the terms.
 `MonomialOrder.key` is still called once per pair per scan, and once per
 term in every `leading_term` and `reduce` step: `perfbench/counts.json` pins
 that count, and the memo makes each call cheaper without removing one.
@@ -87,7 +89,12 @@ from struct import Struct
 from struct import error as StructError
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import ExponentTooLarge, InfiniteDimension, NotHomogeneous
+from .errors import (
+    ExponentTooLarge,
+    InfiniteDimension,
+    NotHomogeneous,
+    ReductionBudgetExceeded,
+)
 from .lattice import Vec2
 from .semigroup import SemigroupFamily, Witnessed
 
@@ -111,6 +118,13 @@ MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 # the process, so the memo is bounded; the largest one measured on the
 # package's own workloads held 3,563 keys (analyze at k = 14).
 _KEY_MEMO_BOUND = 2**14
+
+# S-pair reductions `toric_kernel`'s completion may make before it stops with
+# ReductionBudgetExceeded. The benchmark's glued families make at most 1,400
+# and the mu = 21 family (a, d, k, b) = ((7, 0), (4, 3), 2, (9, 2)) 3,040;
+# ((3, 1), (4, 0), 4, (14, 1)), which ran for minutes unbounded, reaches this
+# many in about 2 s.
+TORIC_REDUCTION_BUDGET = 10_000
 
 _from_bytes = int.from_bytes
 
@@ -510,7 +524,8 @@ class _KeyMemo(dict):
 
 class _KeyProperty(property):
     """`order.key`: a property whose getter is C-level, so reading it runs no
-    Python frame and yields the memo's bound `__getitem__`.
+    Python frame and yields the memo's bound `__getitem__`, stored on the
+    order when it is built.
 
     It stays callable on the class as `MonomialOrder.key(order, m)`, the form
     in which the benchmark's tracer wraps it to count key calls (a count
@@ -553,15 +568,18 @@ class MonomialOrder:
     precedence: tuple[int, ...]
     block: int = 0
     _memo: _KeyMemo = field(init=False, repr=False, compare=False)
+    # the memo's bound __getitem__, fetched once so reading `key` makes none
+    _lookup: Callable[[Mono], Key] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _COMPILERS:
             raise ValueError(f"unknown order kind {self.kind!r}")
-        compiled = _COMPILERS[self.kind](self.precedence, self.block)
-        object.__setattr__(self, "_memo", _KeyMemo(compiled))
+        memo = _KeyMemo(_COMPILERS[self.kind](self.precedence, self.block))
+        object.__setattr__(self, "_memo", memo)
+        object.__setattr__(self, "_lookup", memo.__getitem__)
 
     # monomial -> its sort key, read from the memo
-    key = _KeyProperty(attrgetter("_memo.__getitem__"))
+    key = _KeyProperty(attrgetter("_lookup"))
 
 
 def grevlex(n: int, precedence: Optional[Sequence[int]] = None) -> MonomialOrder:
@@ -587,11 +605,19 @@ def compare(order: MonomialOrder, m1: Mono, m2: Mono) -> int:
 
 
 def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Mono, Coef]:
+    """The term of f with the largest key, the first such in term order.
+    One pass with one `order.key` call per term, as `max(..., key=)` makes,
+    without its keyword-argument overhead."""
     terms = f.terms
     if not terms:
         raise ValueError("zero polynomial has no leading term")
-    m = max(terms, key=order.key)
-    return m, terms[m]
+    key = order.key
+    top = None
+    for m in terms:
+        k = key(m)
+        if top is None or k > top:
+            lead, top = m, k
+    return lead, terms[lead]
 
 
 def leading_monomial(f: Polynomial, order: MonomialOrder) -> Mono:
@@ -619,8 +645,11 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
     ints where integral), so a reducer with a +-1 leading coefficient and
     int tail keeps every step on ints.
     """
-    # one row per nonzero g: [lm, lc, tail (None until g first fires), g]
-    reducers = [[*leading_term(g, order), None, g] for g in G if g.terms]
+    # one row per nonzero g, and the tail of each reducer that has fired,
+    # keyed by its leading monomial: of the rows sharing one, the first
+    # always matches first, so the key names one reducer
+    reducers = [(*leading_term(g, order), g) for g in G if g.terms]
+    tails: dict[Mono, dict] = {}
     work = dict(f.terms)
     remainder: dict[Mono, Coef] = {}
     key = order.key
@@ -629,12 +658,11 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
         m = max(work, key=key)
         c = work.pop(m)
         high = m | guard
-        for r in reducers:
-            lm = r[0]
+        for lm, lc, g in reducers:
             if (high - lm) & guard == guard:
-                tail = r[2]
+                tail = tails.get(lm)
                 if tail is None:
-                    tail = r[2] = _add_terms({}, r[3].terms, c=_inverse(r[1]))
+                    tail = tails[lm] = _add_terms({}, g.terms, c=_inverse(lc))
                     del tail[lm]
                 _add_terms(work, tail, m - lm, -c, guard)
                 break
@@ -682,13 +710,16 @@ def _sort_basis(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
 def _interreduce(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
     G = [monic(g, order) for g in G if not g.is_zero()]
     lms = [leading_monomial(g, order) for g in G]
+    guard = G[0].ring._guard if G else 0
     kept: list[Polynomial] = []
     for i, g in enumerate(G):
         redundant = False
+        high = lms[i] | guard
         for j, lm_j in enumerate(lms):
             if i == j:
                 continue
-            if mono_divides(lm_j, lms[i]) and (lm_j != lms[i] or j < i):
+            # lm_j divides lms[i]
+            if (high - lm_j) & guard == guard and (lm_j != lms[i] or j < i):
                 redundant = True
                 break
         if not redundant:
@@ -700,12 +731,17 @@ def _interreduce(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
     return _sort_basis(out, order)
 
 
-def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+def buchberger(
+    gens: Iterable[Polynomial],
+    order: MonomialOrder,
+    max_reductions: Optional[int] = None,
+) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Normal pair selection (smallest lcm first) with the coprime-leading-term
     skip; termination by Dickson's lemma. Idempotent on inputs that already
-    form a reduced basis.
+    form a reduced basis. With max_reductions set, an S-pair reduction past
+    that many raises ReductionBudgetExceeded naming the budget.
     """
     G = [monic(g, order) for g in gens if not g.is_zero()]
     lms = [leading_monomial(g, order) for g in G]
@@ -715,13 +751,20 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasi
     # the first least key is then the smallest pair among equal keys
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     lcms = [_lcm(lms[i], lms[j], guard) for i, j in pairs]
+    reductions = 0  # never equal to a max_reductions of None
     while pairs:
-        keys = list(map(order.key, lcms))
-        at = keys.index(min(keys))
+        # keys are injective, so the first least lcm has the first least key
+        at = lcms.index(min(lcms, key=order.key))
         i, j = pairs.pop(at)
         # coprime leading monomials are those whose lcm is their product
         if lcms.pop(at) == lms[i] + lms[j]:
             continue
+        if reductions == max_reductions:
+            raise ReductionBudgetExceeded(
+                f"Groebner completion passed its budget of {max_reductions} "
+                "S-pair reductions"
+            )
+        reductions += 1
         r = reduce(s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero():
             continue
@@ -822,7 +865,9 @@ def toric_kernel(f: SemigroupFamily) -> GroebnerBasis:
     form: eliminate t1, t2 from <x_i - t^(g_i)> and restrict to the x-ring.
 
     Every output element is checked to be S-homogeneous and to vanish under
-    the degree map, which certifies containment in the kernel.
+    the degree map, which certifies containment in the kernel. The
+    completion stops with ReductionBudgetExceeded past
+    TORIC_REDUCTION_BUDGET S-pair reductions.
     """
     xring = family_ring(f)
     gens = f.all_generators
@@ -835,7 +880,13 @@ def toric_kernel(f: SemigroupFamily) -> GroebnerBasis:
         x_exps[2 + i] = 1
         t_exps = [*g] + [0] * xring.nvars
         relations.append(big.poly({tuple(x_exps): 1, tuple(t_exps): -1}))
-    gb = buchberger(relations, order)
+    try:
+        gb = buchberger(relations, order, max_reductions=TORIC_REDUCTION_BUDGET)
+    except ReductionBudgetExceeded as exc:
+        raise ReductionBudgetExceeded(
+            f"toric elimination stopped: {exc}; --skip-toric skips this "
+            "cross-check"
+        ) from None
 
     # the elements free of t1, t2, with those two fields shifted out
     t_fields = (1 << (2 * _WIDTH)) - 1
