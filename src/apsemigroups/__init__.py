@@ -38,7 +38,6 @@ from .errors import (
     NotHomogeneous,
     NotMinimal,
     OutsideCone,
-    ReductionBudgetExceeded,
     UnsupportedK,
 )
 from .lattice import Vec2, det, in_lattice, ray_coordinates

@@ -57,9 +57,3 @@ class CapTooSmall(UserWarning):
 class ExponentTooLarge(ValueError):
     """An exponent exceeds the largest one a packed monomial holds,
     2^31 - 1 (see `polynomials.MAX_EXPONENT`)."""
-
-
-class ReductionBudgetExceeded(ValueError):
-    """A Groebner completion needed more S-pair reductions than its caller
-    allowed (`buchberger`'s `max_reductions`; `toric_kernel` passes
-    `polynomials.TORIC_REDUCTION_BUDGET`)."""

@@ -89,12 +89,7 @@ from struct import Struct
 from struct import error as StructError
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import (
-    ExponentTooLarge,
-    InfiniteDimension,
-    NotHomogeneous,
-    ReductionBudgetExceeded,
-)
+from .errors import ExponentTooLarge, InfiniteDimension, NotHomogeneous
 from .lattice import Vec2
 from .semigroup import SemigroupFamily, Witnessed
 
@@ -118,13 +113,6 @@ MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 # the process, so the memo is bounded; the largest one measured on the
 # package's own workloads held 3,563 keys (analyze at k = 14).
 _KEY_MEMO_BOUND = 2**14
-
-# S-pair reductions `toric_kernel`'s completion may make before it stops with
-# ReductionBudgetExceeded. The benchmark's glued families make at most 1,400
-# and the mu = 21 family (a, d, k, b) = ((7, 0), (4, 3), 2, (9, 2)) 3,040;
-# ((3, 1), (4, 0), 4, (14, 1)), which ran for minutes unbounded, reaches this
-# many in about 2 s.
-TORIC_REDUCTION_BUDGET = 10_000
 
 _from_bytes = int.from_bytes
 
@@ -645,11 +633,8 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
     ints where integral), so a reducer with a +-1 leading coefficient and
     int tail keeps every step on ints.
     """
-    # one row per nonzero g, and the tail of each reducer that has fired,
-    # keyed by its leading monomial: of the rows sharing one, the first
-    # always matches first, so the key names one reducer
-    reducers = [(*leading_term(g, order), g) for g in G if g.terms]
-    tails: dict[Mono, dict] = {}
+    # one row per nonzero g: [lm, lc, tail (None until g first fires), g]
+    reducers = [[*leading_term(g, order), None, g] for g in G if g.terms]
     work = dict(f.terms)
     remainder: dict[Mono, Coef] = {}
     key = order.key
@@ -658,11 +643,12 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Poly
         m = max(work, key=key)
         c = work.pop(m)
         high = m | guard
-        for lm, lc, g in reducers:
+        for r in reducers:
+            lm = r[0]
             if (high - lm) & guard == guard:
-                tail = tails.get(lm)
+                tail = r[2]
                 if tail is None:
-                    tail = tails[lm] = _add_terms({}, g.terms, c=_inverse(lc))
+                    tail = r[2] = _add_terms({}, r[3].terms, c=_inverse(r[1]))
                     del tail[lm]
                 _add_terms(work, tail, m - lm, -c, guard)
                 break
@@ -710,16 +696,13 @@ def _sort_basis(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
 def _interreduce(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
     G = [monic(g, order) for g in G if not g.is_zero()]
     lms = [leading_monomial(g, order) for g in G]
-    guard = G[0].ring._guard if G else 0
     kept: list[Polynomial] = []
     for i, g in enumerate(G):
         redundant = False
-        high = lms[i] | guard
         for j, lm_j in enumerate(lms):
             if i == j:
                 continue
-            # lm_j divides lms[i]
-            if (high - lm_j) & guard == guard and (lm_j != lms[i] or j < i):
+            if mono_divides(lm_j, lms[i]) and (lm_j != lms[i] or j < i):
                 redundant = True
                 break
         if not redundant:
@@ -731,17 +714,12 @@ def _interreduce(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
     return _sort_basis(out, order)
 
 
-def buchberger(
-    gens: Iterable[Polynomial],
-    order: MonomialOrder,
-    max_reductions: Optional[int] = None,
-) -> GroebnerBasis:
+def buchberger(gens: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Normal pair selection (smallest lcm first) with the coprime-leading-term
     skip; termination by Dickson's lemma. Idempotent on inputs that already
-    form a reduced basis. With max_reductions set, an S-pair reduction past
-    that many raises ReductionBudgetExceeded naming the budget.
+    form a reduced basis.
     """
     G = [monic(g, order) for g in gens if not g.is_zero()]
     lms = [leading_monomial(g, order) for g in G]
@@ -751,7 +729,6 @@ def buchberger(
     # the first least key is then the smallest pair among equal keys
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     lcms = [_lcm(lms[i], lms[j], guard) for i, j in pairs]
-    reductions = 0  # never equal to a max_reductions of None
     while pairs:
         # keys are injective, so the first least lcm has the first least key
         at = lcms.index(min(lcms, key=order.key))
@@ -759,12 +736,6 @@ def buchberger(
         # coprime leading monomials are those whose lcm is their product
         if lcms.pop(at) == lms[i] + lms[j]:
             continue
-        if reductions == max_reductions:
-            raise ReductionBudgetExceeded(
-                f"Groebner completion passed its budget of {max_reductions} "
-                "S-pair reductions"
-            )
-        reductions += 1
         r = reduce(s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero():
             continue
@@ -865,9 +836,7 @@ def toric_kernel(f: SemigroupFamily) -> GroebnerBasis:
     form: eliminate t1, t2 from <x_i - t^(g_i)> and restrict to the x-ring.
 
     Every output element is checked to be S-homogeneous and to vanish under
-    the degree map, which certifies containment in the kernel. The
-    completion stops with ReductionBudgetExceeded past
-    TORIC_REDUCTION_BUDGET S-pair reductions.
+    the degree map, which certifies containment in the kernel.
     """
     xring = family_ring(f)
     gens = f.all_generators
@@ -880,13 +849,7 @@ def toric_kernel(f: SemigroupFamily) -> GroebnerBasis:
         x_exps[2 + i] = 1
         t_exps = [*g] + [0] * xring.nvars
         relations.append(big.poly({tuple(x_exps): 1, tuple(t_exps): -1}))
-    try:
-        gb = buchberger(relations, order, max_reductions=TORIC_REDUCTION_BUDGET)
-    except ReductionBudgetExceeded as exc:
-        raise ReductionBudgetExceeded(
-            f"toric elimination stopped: {exc}; --skip-toric skips this "
-            "cross-check"
-        ) from None
+    gb = buchberger(relations, order)
 
     # the elements free of t1, t2, with those two fields shifted out
     t_fields = (1 << (2 * _WIDTH)) - 1

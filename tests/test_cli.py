@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from apsemigroups import Vec2, polynomials
+from apsemigroups import Vec2
 from apsemigroups.cli import _build, _parser, _render_json, _report_doc, main
-from conftest import property_settings, run_fresh_python, time_limit
+from conftest import property_settings, run_fresh_python
 
 
 def run(capsys, argv):
@@ -683,34 +683,6 @@ class TestGluedBudget:
         assert doc["extension"]["mu"] == 21
         assert doc["extension"]["apery_bruteforce"] == doc["extension"]["apery"]
         assert len(doc["extension"]["apery"]) == 42
-
-
-class TestToricBudget:
-    """`verify`'s elimination cross-check stops past
-    `polynomials.TORIC_REDUCTION_BUDGET` S-pair reductions with exit 2 and a
-    message naming the budget and `--skip-toric`."""
-
-    SHOWCASE = ["verify", "--a", "2,3", "--d", "2,2", "--k", "3", "--b", "9,11"]
-
-    def test_showcase_past_a_low_budget_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(polynomials, "TORIC_REDUCTION_BUDGET", 5)
-        code, out, err = run(capsys, self.SHOWCASE)
-        assert (code, out) == (2, "")
-        assert "budget of 5 S-pair reductions" in err
-        assert "--skip-toric" in err
-        code, out, _ = run(capsys, self.SHOWCASE + ["--skip-toric"])
-        assert code == 0 and "ideal_equals_toric_kernel" not in out
-
-    def test_family_that_ran_for_minutes_exits_2(self, capsys):
-        # unbounded, its elimination ran past 400 s; the budget stops it in
-        # about 2 s on a 2-core host
-        argv = ["verify", "--a", "3,1", "--d", "4,0", "--k", "4", "--b", "14,1"]
-        with time_limit(30):
-            code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        budget = polynomials.TORIC_REDUCTION_BUDGET
-        assert f"budget of {budget} S-pair reductions" in err
-        assert "--skip-toric" in err
 
 
 class TestExponentLimit:

@@ -11,7 +11,6 @@ from apsemigroups import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
-    ReductionBudgetExceeded,
     Vec2,
     buchberger,
     build_family,
@@ -679,8 +678,8 @@ class TestCoefficientTypes:
         # ideal, so every coefficient of that basis is an int (+-1)
         bases = []
 
-        def spy(gens, order, **budget):
-            bases.append(buchberger(gens, order, **budget))
+        def spy(gens, order):
+            bases.append(buchberger(gens, order))
             return bases[-1]
 
         monkeypatch.setattr(polynomials, "buchberger", spy)
@@ -1050,28 +1049,6 @@ class TestToricKernel:
             ker = toric_kernel(f)
             G = list(generating_set(k, family_ring(f)).G)
             assert ideal_equal(ker, G)
-
-    def test_budget_allows_exactly_that_many_reductions(
-        self, example_two, monkeypatch
-    ):
-        # every reduction in the completion reduces one S-polynomial
-        pairs = []
-
-        def spy(f, g, order):
-            pairs.append((f, g))
-            return s_polynomial(f, g, order)
-
-        monkeypatch.setattr(polynomials, "s_polynomial", spy)
-        expected = toric_kernel(example_two)
-        n = len(pairs)
-        monkeypatch.setattr(polynomials, "TORIC_REDUCTION_BUDGET", n)
-        assert toric_kernel(example_two) == expected
-        monkeypatch.setattr(polynomials, "TORIC_REDUCTION_BUDGET", n - 1)
-        with pytest.raises(
-            ReductionBudgetExceeded,
-            match=f"budget of {n - 1} S-pair reductions; --skip-toric",
-        ):
-            toric_kernel(example_two)
 
 
 class TestIdealEqual:
