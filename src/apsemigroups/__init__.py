@@ -49,7 +49,6 @@ from .polynomials import (
     Polynomial,
     PolynomialRing,
     buchberger,
-    compare,
     elimination_order,
     family_grading,
     family_ring,
@@ -59,7 +58,6 @@ from .polynomials import (
     is_quadratic,
     is_s_homogeneous,
     leading_term,
-    lex_order,
     monic,
     multidegree,
     reduce,

@@ -26,8 +26,8 @@ length or with a negative entry is refused with ValueError, one with an
 entry above MAX_EXPONENT with ExponentTooLarge, each naming the vector.
 `PolynomialRing.exponents` unpacks a monomial where it leaves (`str()` and
 the command line's JSON). Everything between, `Polynomial.terms`,
-`leading_term`, `leading_monomial`, `standard_monomials`, the `mono_*`
-helpers and `order.key`, takes and returns packed ints.
+`leading_term`, `leading_monomial`, `standard_monomials`, `mono_divides`,
+`mono_degree` and `order.key`, takes and returns packed ints.
 
 A coefficient is an `int` when it is integral and a `Fraction` otherwise,
 and every division of coefficients is a `Fraction` division. One routine,
@@ -40,19 +40,22 @@ pure-difference binomial ideal, whose Buchberger steps keep every
 coefficient at +-1 (Eisenbud and Sturmfels, "Binomial ideals", Duke Math. J.
 84 (1996), Prop. 1.1), so its arithmetic stays on ints.
 
-Each order compiles its key function once, when it is built, and every key
-is one int. A grevlex key over the precedence p_1, ..., p_n is
-D * 2^(32n) - F, with D the degree over the precedence and F the exponents
-e_(p_1), ..., e_(p_n) packed as n 32-bit fields, e_(p_n) in the top one.
-Within a degree, -F orders as the tuple (-e_(p_n), ..., -e_(p_1));
-across degrees, 0 <= F < 2^(32n) puts the key in ((D - 1) * 2^(32n),
-D * 2^(32n)], so it rises strictly with D. An elimination key is
-(H << W) + T + 2^(32t), with H and T the grevlex keys of its two blocks, t
-the size of the tail block and W = 32t + 32 + bitlen(t): every exponent is
-at most 2^31 - 1, so T + 2^(32t) lies in (0, 2^W) and the int orders as the
-pair (H, T). A lex key packs the exponents over the precedence with the
-first one in the top field. A key refuses a negative int with ValueError
-naming it. So the pair scan, `leading_term` and `reduce` compare ints, and
+Every order is a `MonomialOrder(nvars, block)`: its first `block`
+variables dominate, with grevlex inside each block. Block 0 is grevlex
+(`grevlex(n)`), and `toric_kernel` eliminates t1, t2 with block 2
+(`elimination_order(2, n)`). Each order compiles its key function once,
+when it is built, and every key is one int. A grevlex key over n variables
+is D * 2^(32n) - F, with D the degree and F the monomial itself: the packed
+exponents, e_1 in the lowest field. Within a degree, -F orders as the tuple
+(-e_n, ..., -e_1); across degrees, 0 <= F < 2^(32n) puts the key in
+((D - 1) * 2^(32n), D * 2^(32n)], so it rises strictly with D. A block
+order's key is (H << W) + T, with H and T the grevlex keys of the head
+block and of the tail (F masked to the head, or shifted down past it), t
+the size of the tail and W = 32t + 32 + bitlen(t): the tail's degree is
+below 2^(32 + bitlen(t)), so 0 <= T < 2^W and the int orders as the pair
+(H, T). A key refuses, with ValueError naming it, an int that is not a
+monomial on the order's variables: a negative one, or one with a field
+past them. So the pair scan, `leading_term` and `reduce` compare ints, and
 the memo below hashes ints.
 
 The key is memoised per order in a plain dict that fills on a miss and
@@ -84,7 +87,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from struct import Struct
 from struct import error as StructError
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -99,7 +102,7 @@ Mono = int
 # a coefficient: an int when integral, else a Fraction (see _coef)
 Coef = Union[int, Fraction]
 
-# an order key: one int for every kind
+# an order key: one int
 Key = int
 
 # Bits per exponent field. The top bit of each is the guard, so the largest
@@ -113,8 +116,6 @@ MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 # the process, so the memo is bounded; the largest one measured on the
 # package's own workloads held 3,563 keys (analyze at k = 14).
 _KEY_MEMO_BOUND = 2**14
-
-_from_bytes = int.from_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +146,6 @@ def _fields(m: int) -> tuple[int, ...]:
     return _LAYOUTS[n][0].unpack(m.to_bytes(4 * n, "little"))
 
 
-def _too_large() -> ExponentTooLarge:
-    return ExponentTooLarge(
-        f"an exponent exceeds {MAX_EXPONENT} = 2^31 - 1, the largest one a "
-        "monomial holds"
-    )
-
-
 def _lcm(m1: Mono, m2: Mono, guard: int) -> Mono:
     """The fieldwise maximum of m1 and m2, guard covering both."""
     d = (m1 | guard) - m2
@@ -159,36 +153,13 @@ def _lcm(m1: Mono, m2: Mono, guard: int) -> Mono:
     return m2 + (d & (keep - (keep >> (_WIDTH - 1))))
 
 
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    m = m1 + m2
-    if m & _guard_for(m):
-        raise _too_large()
-    return m
-
-
 def mono_divides(m1: Mono, m2: Mono) -> bool:
     guard = _guard_for(m1 | m2)
     return ((m2 | guard) - m1) & guard == guard
 
 
-def mono_div(m1: Mono, m2: Mono) -> Mono:
-    if not mono_divides(m2, m1):
-        raise ArithmeticError(f"{m2} does not divide {m1}")
-    return m1 - m2
-
-
-def mono_lcm(m1: Mono, m2: Mono) -> Mono:
-    return _lcm(m1, m2, _guard_for(m1 | m2))
-
-
 def mono_degree(m: Mono) -> int:
     return sum(_fields(m))
-
-
-def mono_coprime(m1: Mono, m2: Mono) -> bool:
-    guard = _guard_for(m1 | m2)
-    low = guard - (guard >> (_WIDTH - 1))  # 2^31 - 1 in every field
-    return not (m1 + low) & (m2 + low) & guard
 
 
 def _coef(c) -> Coef:
@@ -216,7 +187,10 @@ def _add_terms(
         if shift:
             m += shift
             if m & guard:
-                raise _too_large()
+                raise ExponentTooLarge(
+                    f"an exponent exceeds {MAX_EXPONENT} = 2^31 - 1, the largest "
+                    "one a monomial holds"
+                )
         v = acc.get(m, 0) + c * v
         if type(v) is not int:
             v = _coef(v)
@@ -273,7 +247,7 @@ class PolynomialRing:
                 f"{self.nvars} variables"
             )
         try:
-            packed = _from_bytes(self._layout.pack(*m), "little")
+            packed = int.from_bytes(self._layout.pack(*m), "little")
         except StructError:
             packed = None  # an entry < 0, >= 2^32 or not an int
         if packed is None or packed & self._guard:
@@ -422,72 +396,27 @@ class Polynomial:
 # monomial orders
 
 
-def _picker(idxs: tuple[int, ...]) -> Callable[[tuple], tuple[int, ...]]:
-    """v -> tuple(v[i] for i in idxs); itemgetter alone returns a bare entry
-    for one index and cannot be built for none."""
-    if not idxs:
-        return lambda v: ()
-    if len(idxs) == 1:
-        (i,) = idxs
-        return lambda v: (v[i],)
-    return itemgetter(*idxs)
+def _compile_key(nvars: int, block: int) -> Callable[[Mono], Key]:
+    """The key of `MonomialOrder(nvars, block)`, (H << W) + T as the module
+    docstring derives it. An int that is not a monomial on nvars variables
+    raises ValueError naming it."""
+    unpack = _LAYOUTS[nvars][0].unpack
+    size = 4 * nvars
+    bits = _WIDTH * nvars
+    head_bits = _WIDTH * block
+    head_mask = (1 << head_bits) - 1
+    tail_bits = bits - head_bits
+    width = tail_bits + _WIDTH + (nvars - block).bit_length()
 
-
-def _unpacker(idxs: tuple[int, ...]) -> Callable[[Mono], tuple[int, ...]]:
-    """m -> (e_i for i in idxs): the fields below the largest index,
-    unpacked at once and picked in precedence order."""
-    n = max(idxs, default=-1) + 1
-    mask = (1 << (_WIDTH * n)) - 1
-    unpack = _LAYOUTS[n][0].unpack
-    if idxs == tuple(range(n)):
-        return lambda m: unpack((m & mask).to_bytes(4 * n, "little"))
-    pick = _picker(idxs)
-    return lambda m: pick(unpack((m & mask).to_bytes(4 * n, "little")))
-
-
-def _compile_grevlex(idxs: tuple[int, ...]) -> Callable[[Mono], int]:
-    """The grevlex key over idxs as one int that orders exactly as the
-    tuple (D, -e_n, ..., -e_1), D the degree over idxs and e_1, ..., e_n
-    the exponents in precedence order: D * 2^(32n) - F, F the exponents
-    packed with e_1 in the lowest field. Within one degree, -F orders as
-    (-e_n, ..., -e_1); across degrees, 0 <= F < 2^(32n) puts key(D) in
-    ((D - 1) * 2^(32n), D * 2^(32n)], so the key rises strictly with D.
-    """
-    exponents = _unpacker(idxs)
-    pack = _LAYOUTS[len(idxs)][0].pack
-    shift = _WIDTH * len(idxs)
-
-    def key(m: Mono) -> int:
-        exps = exponents(m)
-        return (sum(exps) << shift) - _from_bytes(pack(*exps), "little")
+    def key(m: Mono) -> Key:
+        if m < 0 or m >> bits:
+            raise ValueError(f"{m} is not a monomial on {nvars} variables")
+        exps = unpack(m.to_bytes(size, "little"))
+        head = (sum(exps[:block]) << head_bits) - (m & head_mask)
+        tail = (sum(exps[block:]) << tail_bits) - (m >> head_bits)
+        return (head << width) + tail
 
     return key
-
-
-def _compile_elim(idxs: tuple[int, ...], block: int) -> Callable[[Mono], int]:
-    """The elimination key as one int that orders as the pair (H, T) of the
-    grevlex keys of idxs[:block] and idxs[block:]: (H << W) + T + 2^(32t),
-    t = len(idxs) - block. T + 2^(32t) lies in (0, (D + 1) * 2^(32t)] for
-    the tail degree D <= t * (2^31 - 1), so below 2^W for
-    W = 32t + 32 + bitlen(t), and the low W bits order as T does."""
-    head = _compile_grevlex(idxs[:block])
-    tail = _compile_grevlex(idxs[block:])
-    t = len(idxs) - block
-    offset = 1 << (_WIDTH * t)
-    width = _WIDTH * (t + 1) + t.bit_length()
-
-    def key(m: Mono) -> int:
-        return (head(m) << width) + tail(m) + offset
-
-    return key
-
-
-def _compile_lex(idxs: tuple[int, ...]) -> Callable[[Mono], int]:
-    """The lex key: the exponents over idxs packed with the first one in
-    the top field, so the int orders as their tuple."""
-    exponents = _unpacker(idxs)
-    pack = Struct(f">{len(idxs)}I").pack
-    return lambda m: _from_bytes(pack(*exponents(m)), "big")
 
 
 class _KeyMemo(dict):
@@ -500,10 +429,6 @@ class _KeyMemo(dict):
         self.compiled = compiled
 
     def __missing__(self, m: Mono):
-        if m < 0:
-            raise ValueError(
-                f"monomial {m} is negative; a packed monomial is an int >= 0"
-            )
         if len(self) >= _KEY_MEMO_BOUND:
             self.clear()
         k = self[m] = self.compiled(m)
@@ -525,44 +450,34 @@ class _KeyProperty(property):
         return self.fget(order)(m)
 
 
-_COMPILERS = {
-    "grevlex": lambda prec, block: _compile_grevlex(prec),
-    "lex": lambda prec, block: _compile_lex(prec),
-    "elim": _compile_elim,
-}
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total, multiplicative well-order on monomials.
+    """The block order on `nvars` variables whose first `block` variables
+    dominate, with grevlex inside each block (x_1 > x_2 > ..., total degree
+    first, then the smaller exponent on the last variable wins ties): a
+    monomial is compared first by its head block, then by its tail. Block 0
+    is grevlex; a block b > 0 eliminates the first b variables.
 
-    kind "grevlex": total degree, then reverse lexicographic tiebreak on the
-    precedence (the monomial with the smaller exponent on the least variable
-    wins ties upward).
-    kind "lex": lexicographic on the precedence.
-    kind "elim": the first `block` precedence variables dominate; both blocks
-    are compared by grevlex, so it eliminates the leading block.
-
-    Every key is one int (the module docstring gives the encodings): grevlex
-    D * 2^(32n) - F, elim the two blocks' grevlex keys H and T as
-    (H << W) + T + 2^(32t), lex the exponents packed in precedence order.
-
-    The key function is compiled once, when the order is built, and memoised
-    per order (at most _KEY_MEMO_BOUND monomials); an unknown kind raises
-    ValueError then. The memo takes no part in equality or hashing.
+    Every key is one int (the module docstring gives the encoding). The key
+    function is compiled once, when the order is built, and memoised per
+    order (at most _KEY_MEMO_BOUND monomials); the memo takes no part in
+    equality or hashing. nvars < 0 or a block outside [0, nvars] raises
+    ValueError when the order is built.
     """
 
-    kind: str
-    precedence: tuple[int, ...]
+    nvars: int
     block: int = 0
     _memo: _KeyMemo = field(init=False, repr=False, compare=False)
     # the memo's bound __getitem__, fetched once so reading `key` makes none
     _lookup: Callable[[Mono], Key] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _COMPILERS:
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        memo = _KeyMemo(_COMPILERS[self.kind](self.precedence, self.block))
+        if self.nvars < 0 or not 0 <= self.block <= self.nvars:
+            raise ValueError(
+                f"no order on {self.nvars} variables with block {self.block}: "
+                "need nvars >= 0 and 0 <= block <= nvars"
+            )
+        memo = _KeyMemo(_compile_key(self.nvars, self.block))
         object.__setattr__(self, "_memo", memo)
         object.__setattr__(self, "_lookup", memo.__getitem__)
 
@@ -570,26 +485,12 @@ class MonomialOrder:
     key = _KeyProperty(attrgetter("_lookup"))
 
 
-def grevlex(n: int, precedence: Optional[Sequence[int]] = None) -> MonomialOrder:
-    prec = tuple(precedence) if precedence is not None else tuple(range(n))
-    return MonomialOrder("grevlex", prec)
-
-
-def lex_order(precedence: Sequence[int]) -> MonomialOrder:
-    return MonomialOrder("lex", tuple(precedence))
+def grevlex(n: int) -> MonomialOrder:
+    return MonomialOrder(n)
 
 
 def elimination_order(n_elim: int, n_total: int) -> MonomialOrder:
-    return MonomialOrder("elim", tuple(range(n_total)), block=n_elim)
-
-
-def compare(order: MonomialOrder, m1: Mono, m2: Mono) -> int:
-    k1, k2 = order.key(m1), order.key(m2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
+    return MonomialOrder(n_total, n_elim)
 
 
 def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Mono, Coef]:

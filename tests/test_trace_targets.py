@@ -34,7 +34,6 @@ TRACED = {
     ],
     "polynomials": [
         "buchberger",
-        "compare",
         "elimination_order",
         "family_grading",
         "family_ring",
@@ -45,7 +44,6 @@ TRACED = {
         "is_s_homogeneous",
         "leading_monomial",
         "leading_term",
-        "lex_order",
         "monic",
         "multidegree",
         "reduce",
