@@ -6,9 +6,9 @@ regularity, and the one-extra-generator gluing data for extended families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._record import FrozenRecord, set_field
 from .errors import BadIndex, NotHomogeneous, UnsupportedK
 from .lattice import Vec2
 from .polynomials import (
@@ -82,11 +82,17 @@ def xi_family(ell: int, k: int, ring: Optional[PolynomialRing] = None) -> list[P
     return [binomial for _, binomial in _xi_blocks(ell, k, ring)]
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
-    k: int
-    xi: dict[int, tuple[Polynomial, ...]]
-    G: tuple[Polynomial, ...]
+class GeneratorFamily(FrozenRecord):
+    _fields = ("k", "xi", "G")
+    # frozen, but `xi` is a dict
+    __hash__ = None
+
+    def __init__(
+        self, k: int, xi: dict[int, tuple[Polynomial, ...]], G: tuple[Polynomial, ...]
+    ) -> None:
+        set_field(self, "k", k)
+        set_field(self, "xi", xi)
+        set_field(self, "G", G)
 
     @property
     def ring(self) -> PolynomialRing:
@@ -137,19 +143,29 @@ def _ideal_generators(f: SemigroupFamily, ring: PolynomialRing) -> list[Polynomi
 # resolutions for k = 2, 3, 4
 
 
-@dataclass(frozen=True)
-class GradedResolution:
+class GradedResolution(FrozenRecord):
     """Minimal graded free resolution data: maps[i] is the matrix of
     delta_{i+1} as a rows x cols nested tuple, column_degrees[i] lists the
     multidegrees of the generators of F_{i+1} in column order, and shifts[i]
     aggregates the degrees of F_i as (multiplicity, degree) pairs."""
 
-    k: int
-    betti: tuple[int, ...]
-    maps: tuple[tuple[tuple[Polynomial, ...], ...], ...]
-    column_degrees: tuple[tuple[Vec2, ...], ...]
-    shifts: tuple[tuple[tuple[int, Vec2], ...], ...]
-    grading: Grading
+    _fields = ("k", "betti", "maps", "column_degrees", "shifts", "grading")
+
+    def __init__(
+        self,
+        k: int,
+        betti: tuple[int, ...],
+        maps: tuple[tuple[tuple[Polynomial, ...], ...], ...],
+        column_degrees: tuple[tuple[Vec2, ...], ...],
+        shifts: tuple[tuple[tuple[int, Vec2], ...], ...],
+        grading: Grading,
+    ) -> None:
+        set_field(self, "k", k)
+        set_field(self, "betti", betti)
+        set_field(self, "maps", maps)
+        set_field(self, "column_degrees", column_degrees)
+        set_field(self, "shifts", shifts)
+        set_field(self, "grading", grading)
 
 
 def _aggregate(degrees: tuple[Vec2, ...]) -> tuple[tuple[int, Vec2], ...]:
@@ -272,13 +288,17 @@ def resolution(f: SemigroupFamily) -> GradedResolution:
 # Hilbert series
 
 
-@dataclass(frozen=True)
-class HilbertSeriesForm:
+class HilbertSeriesForm(FrozenRecord):
     """Numerator exponents with integer coefficients over the product of
     (1 - t^g) for g running through the family generators."""
 
-    numerator: tuple[tuple[int, Vec2], ...]
-    denominator_factors: tuple[Vec2, ...]
+    _fields = ("numerator", "denominator_factors")
+
+    def __init__(
+        self, numerator: tuple[tuple[int, Vec2], ...], denominator_factors: tuple[Vec2, ...]
+    ) -> None:
+        set_field(self, "numerator", numerator)
+        set_field(self, "denominator_factors", denominator_factors)
 
     def numerator_dict(self) -> dict[Vec2, int]:
         return {deg: c for c, deg in self.numerator}
@@ -337,12 +357,16 @@ def regularity_from_resolution(f: SemigroupFamily) -> int:
 # gluing
 
 
-@dataclass(frozen=True)
-class GluingData:
-    mu: int
-    lam: tuple[int, ...]
-    glue_degree: Vec2
-    extra_generator: Polynomial
+class GluingData(FrozenRecord):
+    _fields = ("mu", "lam", "glue_degree", "extra_generator")
+
+    def __init__(
+        self, mu: int, lam: tuple[int, ...], glue_degree: Vec2, extra_generator: Polynomial
+    ) -> None:
+        set_field(self, "mu", mu)
+        set_field(self, "lam", lam)
+        set_field(self, "glue_degree", glue_degree)
+        set_field(self, "extra_generator", extra_generator)
 
 
 def gluing_data(f: SemigroupFamily) -> GluingData:

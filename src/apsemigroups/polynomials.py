@@ -85,13 +85,13 @@ deleted term.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 from struct import Struct
 from struct import error as StructError
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from ._record import FrozenRecord, set_field
 from .errors import ExponentTooLarge, InfiniteDimension, NotHomogeneous
 from .lattice import Vec2
 from .semigroup import SemigroupFamily, Witnessed
@@ -450,8 +450,7 @@ class _KeyProperty(property):
         return self.fget(order)(m)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(FrozenRecord):
     """The block order on `nvars` variables whose first `block` variables
     dominate, with grevlex inside each block (x_1 > x_2 > ..., total degree
     first, then the smaller exponent on the last variable wins ties): a
@@ -465,21 +464,20 @@ class MonomialOrder:
     ValueError when the order is built.
     """
 
-    nvars: int
-    block: int = 0
-    _memo: _KeyMemo = field(init=False, repr=False, compare=False)
-    # the memo's bound __getitem__, fetched once so reading `key` makes none
-    _lookup: Callable[[Mono], Key] = field(init=False, repr=False, compare=False)
+    _fields = ("nvars", "block")
 
-    def __post_init__(self):
-        if self.nvars < 0 or not 0 <= self.block <= self.nvars:
+    def __init__(self, nvars: int, block: int = 0) -> None:
+        if nvars < 0 or not 0 <= block <= nvars:
             raise ValueError(
-                f"no order on {self.nvars} variables with block {self.block}: "
+                f"no order on {nvars} variables with block {block}: "
                 "need nvars >= 0 and 0 <= block <= nvars"
             )
-        memo = _KeyMemo(_compile_key(self.nvars, self.block))
-        object.__setattr__(self, "_memo", memo)
-        object.__setattr__(self, "_lookup", memo.__getitem__)
+        set_field(self, "nvars", nvars)
+        set_field(self, "block", block)
+        memo = _KeyMemo(_compile_key(nvars, block))
+        set_field(self, "_memo", memo)
+        # the memo's bound __getitem__, fetched once so reading `key` makes none
+        set_field(self, "_lookup", memo.__getitem__)
 
     # monomial -> its sort key, read from the memo
     key = _KeyProperty(attrgetter("_lookup"))
@@ -572,10 +570,12 @@ def s_polynomial(
     return Polynomial(f.ring, terms)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    order: MonomialOrder
-    elements: tuple[Polynomial, ...]
+class GroebnerBasis(FrozenRecord):
+    _fields = ("order", "elements")
+
+    def __init__(self, order: MonomialOrder, elements: tuple[Polynomial, ...]) -> None:
+        set_field(self, "order", order)
+        set_field(self, "elements", elements)
 
     @property
     def ring(self) -> PolynomialRing:

@@ -36,10 +36,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ._record import FrozenRecord, set_field
 from .errors import (
     BadExtension,
     CapTooSmall,
@@ -50,17 +50,29 @@ from .errors import (
 )
 from .lattice import ZERO, Vec2, det, in_lattice, ray_coordinates
 
-@dataclass(frozen=True)
-class SemigroupFamily:
+
+class SemigroupFamily(FrozenRecord):
     """A validated family ⟨a, a+d, ..., a+kd⟩, optionally glued with b."""
 
-    a: Vec2
-    d: Vec2
-    k: int
-    generators: tuple[Vec2, ...]
-    extension: Optional[Vec2] = None
-    extension_mu: Optional[int] = None
-    extension_lambda: Optional[tuple[int, ...]] = None
+    _fields = ("a", "d", "k", "generators", "extension", "extension_mu", "extension_lambda")
+
+    def __init__(
+        self,
+        a: Vec2,
+        d: Vec2,
+        k: int,
+        generators: tuple[Vec2, ...],
+        extension: Optional[Vec2] = None,
+        extension_mu: Optional[int] = None,
+        extension_lambda: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        set_field(self, "a", a)
+        set_field(self, "d", d)
+        set_field(self, "k", k)
+        set_field(self, "generators", generators)
+        set_field(self, "extension", extension)
+        set_field(self, "extension_mu", extension_mu)
+        set_field(self, "extension_lambda", extension_lambda)
 
     @property
     def is_extended(self) -> bool:
@@ -78,12 +90,14 @@ class SemigroupFamily:
         return f"<{gens}>"
 
 
-@dataclass(frozen=True)
-class AperySet:
+class AperySet(FrozenRecord):
     """Elements e of S with e - r not in S for every r in `base`."""
 
-    base: tuple[Vec2, ...]
-    elements: frozenset[Vec2]
+    _fields = ("base", "elements")
+
+    def __init__(self, base: tuple[Vec2, ...], elements: frozenset[Vec2]) -> None:
+        set_field(self, "base", base)
+        set_field(self, "elements", elements)
 
     def sorted_elements(self) -> list[Vec2]:
         return sorted(self.elements)
@@ -92,12 +106,14 @@ class AperySet:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class Witnessed:
+class Witnessed(FrozenRecord):
     """A boolean verdict plus the witness that decides it (None when holds)."""
 
-    holds: bool
-    witness: object = None
+    _fields = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: object = None) -> None:
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds

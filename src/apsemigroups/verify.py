@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import FrozenRecord, Record, set_field
 from .closed_forms import (
     _STORED_K,
     GradedResolution,
@@ -67,14 +67,14 @@ from .semigroup import (
 )
 
 
-@dataclass(frozen=True)
-class EnumerationBox:
-    cap_x: int
-    cap_y: int
+class EnumerationBox(FrozenRecord):
+    _fields = ("cap_x", "cap_y")
 
-    def __post_init__(self):
-        if self.cap_x <= 0 or self.cap_y <= 0:
+    def __init__(self, cap_x: int, cap_y: int) -> None:
+        if cap_x <= 0 or cap_y <= 0:
             raise ValueError("box caps must be positive")
+        set_field(self, "cap_x", cap_x)
+        set_field(self, "cap_y", cap_y)
 
 
 # Ceiling on (cap_x + 1) * (cap_y + 1) for the truncation check. Its series
@@ -119,8 +119,7 @@ def _decode_row(packed: int, w: int, width: int) -> list[int]:
     return cells
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
+class TruncatedSeries(FrozenRecord):
     """Series coefficients inside the box, one packed int per row.
 
     `packed[x]` encodes row x as the row polynomial sum_y c_y * Y^y, cut at
@@ -133,9 +132,12 @@ class TruncatedSeries:
     are equal when their boxes and coefficients are, whatever their w.
     """
 
-    box: EnumerationBox
-    packed: list[int]
-    w: int
+    _fields = ("box", "packed", "w")
+
+    def __init__(self, box: EnumerationBox, packed: list[int], w: int) -> None:
+        set_field(self, "box", box)
+        set_field(self, "packed", packed)
+        set_field(self, "w", w)
 
     @classmethod
     def from_rows(cls, box: EnumerationBox, rows: list[list[int]]) -> "TruncatedSeries":
@@ -146,6 +148,7 @@ class TruncatedSeries:
         packed = [sum(c << (w * y) for y, c in enumerate(row)) & full for row in rows]
         return cls(box=box, packed=packed, w=w)
 
+    # defining __eq__ leaves the class unhashable, as `packed` is a list
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -180,31 +183,50 @@ class TruncatedSeries:
         return 0
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
-    elapsed: float = 0.0
+class CheckResult(Record):
+    _fields = ("name", "passed", "witness", "elapsed")
+
+    def __init__(
+        self, name: str, passed: bool, witness: Optional[str] = None, elapsed: float = 0.0
+    ) -> None:
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.elapsed = elapsed
 
 
-@dataclass
-class Report:
-    family: SemigroupFamily
-    checks: list[CheckResult] = field(default_factory=list)
-    flags: dict = field(default_factory=dict)
+class Report(Record):
+    _fields = ("family", "checks", "flags")
+
+    def __init__(
+        self,
+        family: SemigroupFamily,
+        checks: Optional[list[CheckResult]] = None,
+        flags: Optional[dict] = None,
+    ) -> None:
+        self.family = family
+        self.checks = [] if checks is None else checks
+        self.flags = {} if flags is None else flags
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class VerifyOptions:
-    box: Optional[EnumerationBox] = None
-    include_toric: bool = True
-    include_truncation: bool = True
-    apery_cap: Optional[int] = None
+class VerifyOptions(FrozenRecord):
+    _fields = ("box", "include_toric", "include_truncation", "apery_cap")
+
+    def __init__(
+        self,
+        box: Optional[EnumerationBox] = None,
+        include_toric: bool = True,
+        include_truncation: bool = True,
+        apery_cap: Optional[int] = None,
+    ) -> None:
+        set_field(self, "box", box)
+        set_field(self, "include_toric", include_toric)
+        set_field(self, "include_truncation", include_truncation)
+        set_field(self, "apery_cap", apery_cap)
 
 
 def _check(name: str):

@@ -36,3 +36,14 @@ def test_import_adds_only_standard_library_modules():
         if name != "apsemigroups" and name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+# `dataclasses` alone loads the other four; the package builds its records
+# without them, so a CLI process skips their import and the class building.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "copy")
+
+
+def test_import_loads_no_heavy_modules():
+    added = json.loads(run_fresh_python(IMPORT_PROBE))
+    assert "apsemigroups" in added
+    assert [name for name in HEAVY_MODULES if name in added] == []

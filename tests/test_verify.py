@@ -11,6 +11,7 @@ import pytest
 from apsemigroups import (
     BoxTooLarge,
     EnumerationBox,
+    GradedResolution,
     HilbertSeriesForm,
     PolynomialRing,
     Vec2,
@@ -600,8 +601,6 @@ class TestComplexCheck:
         assert len(_named_minors(4)) == 5
 
     def test_broken_matrix_detected(self, example_one):
-        import dataclasses
-
         # (family, map index, witness): entry (1,1) of delta2 at k = 3 and
         # of delta3 at k = 4 replaced by x2
         cases = [
@@ -621,7 +620,10 @@ class TestComplexCheck:
             matrix = [list(row) for row in res.maps[idx]]
             matrix[0][0] = res.maps[0][0][0].ring.var(1)
             maps = res.maps[:idx] + (matrix,) + res.maps[idx + 1 :]
-            result = complex_check(dataclasses.replace(res, maps=maps))
+            broken = GradedResolution(
+                res.k, res.betti, maps, res.column_degrees, res.shifts, res.grading
+            )
+            result = complex_check(broken)
             assert (result.passed, result.witness) == (False, witness)
 
     def test_det_matches_leibniz_expansion(self, hypothesis):
