@@ -89,7 +89,6 @@ from .verify import (
     EnumerationBox,
     Report,
     TruncatedSeries,
-    VerifyOptions,
     complex_check,
     default_box,
     enumerate_semigroup,

@@ -47,7 +47,7 @@ from .semigroup import (
     cm_type,
     quasi_frobenius,
 )
-from .verify import EnumerationBox, Report, VerifyOptions, default_box, full_report
+from .verify import EnumerationBox, Report, default_box, full_report
 
 _BIG = 2**53
 _RECONCILIATION = (
@@ -199,22 +199,18 @@ def _checks_section(report: Report) -> list:
     ]
 
 
-def _pt(v) -> str:
-    return f"({v[0]},{v[1]})"
-
-
 def _pts(vs) -> str:
-    return ", ".join(map(_pt, vs))
+    return ", ".join(map(str, vs))
 
 
 def _render_text(doc: dict) -> str:
     """The text report, read from the same document as `_render_json`."""
     lines = []
     fam = doc["family"]
-    lines.append(f"family: a={_pt(fam['a'])} d={_pt(fam['d'])} k={fam['k']}")
+    lines.append(f"family: a={fam['a']} d={fam['d']} k={fam['k']}")
     lines.append(f"generators: {_pts(fam['generators'])}")
     if "b" in fam:
-        lines.append(f"extension b: {_pt(fam['b'])}")
+        lines.append(f"extension b: {fam['b']}")
     if "apery" in doc:
         ap = doc["apery"]
         lines.append("apery (closed form): " + _pts(ap["closed_form"]))
@@ -243,16 +239,16 @@ def _render_text(doc: dict) -> str:
     if "hilbert" in doc:
         terms = doc["hilbert"]["numerator_terms"]
         body = " ".join(
-            f"{'+' if c > 0 else '-'} {abs(c)}*t^{_pt(d)}"
+            f"{'+' if c > 0 else '-'} {abs(c)}*t^{d}"
             for c, d in terms
         )
         lines.append("hilbert numerator: " + body)
-        dens = " ".join(f"(1 - t^{_pt(g)})" for g in doc["hilbert"]["denominator"])
+        dens = " ".join(f"(1 - t^{g})" for g in doc["hilbert"]["denominator"])
         lines.append("hilbert denominator: " + dens)
     if "resolution" in doc:
         lines.append(f"betti numbers: {list(doc['resolution']['betti'])}")
         for i, layer in enumerate(doc["resolution"]["shifts"]):
-            pretty = ", ".join(f"{m}x{_pt(d)}" for m, d in layer)
+            pretty = ", ".join(f"{m}x{d}" for m, d in layer)
             lines.append(f"  C_{i}: {pretty}")
     if "regularity" in doc:
         lines.append(f"regularity of the ideal: {doc['regularity']}")
@@ -321,13 +317,13 @@ def _report_doc(f, args) -> tuple[dict, Report]:
     """The report subcommands' document; only `verify` runs the toric and
     truncation oracles."""
     full = args.command == "verify"
-    opts = VerifyOptions(
+    report = full_report(
+        f,
         box=_box(args, f) if full else None,
         include_toric=full and not args.skip_toric,
         include_truncation=full,
         apery_cap=args.apery_cap,
     )
-    report = full_report(f, opts)
     doc = {"family": _family_section(f)}
     doc["apery"] = _apery_section(f, args.apery_cap)
     doc["qf"] = sorted(quasi_frobenius(f))

@@ -14,7 +14,6 @@ forms they judge.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Optional
 
@@ -101,22 +100,20 @@ def _field_width(bound: int) -> int:
 def _decode_row(packed: int, w: int, width: int) -> list[int]:
     """The `width` coefficients that a packed row holds, lowest y first.
 
-    The row's bytes are read as signed w-bit fields, and the field above a
-    negative one, which lent it 1, gets that 1 back.
+    Adding 2^(w - 1) to every field maps each signed coefficient to an
+    unsigned w-bit field with no carry between fields; the row's bytes are
+    read as those unsigned fields, and 2^(w - 1) is taken off each.
     """
     nbytes = w * width // 8
     field_bytes = w // 8
-    data = packed.to_bytes(nbytes, "little")
-    cells = [
-        int.from_bytes(data[i : i + field_bytes], "little", signed=True)
+    half = 1 << (w - 1)
+    # 2^(w - 1) in every field: the top byte of each field is 0x80
+    offset = int.from_bytes((bytes(field_bytes - 1) + b"\x80") * width, "little")
+    data = ((packed + offset) & ((1 << (w * width)) - 1)).to_bytes(nbytes, "little")
+    return [
+        int.from_bytes(data[i : i + field_bytes], "little") - half
         for i in range(0, nbytes, field_bytes)
     ]
-    # a field is negative iff its top byte has the high bit set
-    if not data[field_bytes - 1 :: field_bytes].isascii():
-        # a negative field borrowed 1 from the field above it, which so
-        # reads one too low
-        cells = [c + (below < 0) for c, below in zip(cells, [0] + cells)]
-    return cells
 
 
 class TruncatedSeries(FrozenRecord):
@@ -124,10 +121,11 @@ class TruncatedSeries(FrozenRecord):
 
     `packed[x]` encodes row x as the row polynomial sum_y c_y * Y^y, cut at
     Y^cap_y, evaluated at Y = 2^w and kept mod 2^(w * (cap_y + 1)): the
-    coefficient of t^(x, y) is the signed w-bit field at bit w*y, plus 1 if
-    the field below it is negative. w holds every |c| < 2^(w - 1), so
-    the encoding is injective: at one w, two rows hold the same
-    coefficients iff their packed ints are equal, and an all-zero row is 0.
+    coefficient of t^(x, y) is the w-bit field at bit w*y of packed[x] plus
+    2^(w - 1) in every field, read unsigned, less 2^(w - 1). w holds every
+    |c| < 2^(w - 1), so the encoding is injective: at one w, two rows hold
+    the same coefficients iff their packed ints are equal, and an all-zero
+    row is 0.
     `rows`, `coefficients` and `coefficient` decode on demand. Two series
     are equal when their boxes and coefficients are, whatever their w.
     """
@@ -142,9 +140,14 @@ class TruncatedSeries(FrozenRecord):
     @classmethod
     def from_rows(cls, box: EnumerationBox, rows: list[list[int]]) -> "TruncatedSeries":
         """Pack plain rows, `rows[x][y]` the coefficient of t^(x, y), with
-        the least field width that holds them."""
+        the least field width that holds them. The rows must fill the box:
+        cap_x + 1 rows of cap_y + 1 coefficients each, else ValueError."""
+        height, width = box.cap_x + 1, box.cap_y + 1
+        if len(rows) != height or any(len(row) != width for row in rows):
+            shape = f"{len(rows)} x {sorted({len(row) for row in rows})}"
+            raise ValueError(f"rows of shape {shape} do not fill a {height} x {width} box")
         w = _field_width(max((abs(c) for row in rows for c in row), default=0))
-        full = (1 << (w * (box.cap_y + 1))) - 1
+        full = (1 << (w * width)) - 1
         packed = [sum(c << (w * y) for y, c in enumerate(row)) & full for row in rows]
         return cls(box=box, packed=packed, w=w)
 
@@ -213,37 +216,12 @@ class Report(Record):
         return all(c.passed for c in self.checks)
 
 
-class VerifyOptions(FrozenRecord):
-    _fields = ("box", "include_toric", "include_truncation", "apery_cap")
-
-    def __init__(
-        self,
-        box: Optional[EnumerationBox] = None,
-        include_toric: bool = True,
-        include_truncation: bool = True,
-        apery_cap: Optional[int] = None,
-    ) -> None:
-        set_field(self, "box", box)
-        set_field(self, "include_toric", include_toric)
-        set_field(self, "include_truncation", include_truncation)
-        set_field(self, "apery_cap", apery_cap)
-
-
-def _check(name: str):
-    """Turn a function that computes what a check judges and returns
-    (passed, witness) into one that returns the CheckResult `name`, timed
-    over the whole call. The result keeps fn's name and docstring."""
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def run(*args, **kwargs) -> CheckResult:
-            start = time.perf_counter()
-            passed, witness = fn(*args, **kwargs)
-            return CheckResult(name, passed, witness, time.perf_counter() - start)
-
-        return run
-
-    return decorate
+def _timed(name: str, verdict, *args) -> CheckResult:
+    """The CheckResult `name` of `verdict(*args)`, which computes what the
+    check judges and returns (passed, witness), timed over the whole call."""
+    start = time.perf_counter()
+    passed, witness = verdict(*args)
+    return CheckResult(name, passed, witness, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +350,18 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
     return TruncatedSeries(box=box, packed=rows, w=w)
 
 
-@_check("hilbert_truncation")
 def hilbert_truncation_check(
     f: SemigroupFamily, form: HilbertSeriesForm, box: EnumerationBox
-) -> tuple[bool, Optional[str]]:
-    """Coefficient-for-coefficient agreement of the closed form with the
-    enumerated semigroup: 1 on semigroup points, 0 elsewhere.
+) -> CheckResult:
+    """The check "hilbert_truncation": coefficient-for-coefficient agreement
+    of the closed form with the enumerated semigroup inside the box, 1 on
+    semigroup points and 0 elsewhere. The witness names the first cell that
+    differs."""
+    return _timed("hilbert_truncation", _truncation_verdict, f, form, box)
 
-    Each packed series row is compared whole with the row the enumeration
+
+def _truncation_verdict(f, form, box) -> tuple[bool, Optional[str]]:
+    """Each packed series row is compared whole with the row the enumeration
     expects, packed the same way: sum 2^(w*y) over the semigroup points
     (x, y), so 0 for a row without points. The encoding is injective, so
     equal ints mean equal rows. Only the first row that differs is decoded,
@@ -471,10 +453,14 @@ def _named_minors(k: int):
     return []
 
 
-@_check("complex_check")
-def complex_check(res: GradedResolution) -> tuple[bool, Optional[str]]:
-    """delta_i * delta_{i+1} = 0, constant-free entries, shift consistency,
-    and the named minors valued at the stated products (up to sign)."""
+def complex_check(res: GradedResolution) -> CheckResult:
+    """The check "complex_check": delta_i * delta_{i+1} = 0, constant-free
+    entries, shift consistency, and the named minors valued at the stated
+    products (up to sign). The witness names the first failure."""
+    return _timed("complex_check", _complex_verdict, res)
+
+
+def _complex_verdict(res) -> tuple[bool, Optional[str]]:
     for idx, matrix in enumerate(res.maps):
         for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
@@ -513,15 +499,18 @@ def complex_check(res: GradedResolution) -> tuple[bool, Optional[str]]:
 # quotient-dimension check
 
 
-@_check("gastinger")
-def gastinger_check(f: SemigroupFamily, gens=None) -> tuple[bool, Optional[str]]:
-    """Two halves: the proposed generators vanish under the degree map (so
-    they lie in the kernel), and the quotient by them plus the extremal-ray
-    variables has exactly |Ap(S, E)| standard monomials; together these force
-    ideal equality.
+def gastinger_check(f: SemigroupFamily, gens=None) -> CheckResult:
+    """The check "gastinger": the proposed generators vanish under the
+    degree map (so they lie in the kernel), and the quotient by them plus
+    the extremal-ray variables has exactly |Ap(S, E)| standard monomials;
+    together these force ideal equality.
 
     `gens` overrides the generator list, for sensitivity controls.
     """
+    return _timed("gastinger", _gastinger_verdict, f, gens)
+
+
+def _gastinger_verdict(f, gens) -> tuple[bool, Optional[str]]:
     ring = family_ring(f)
     grading = family_grading(f)
     expected = f.k * (f.extension_mu or 1)
@@ -546,29 +535,40 @@ def gastinger_check(f: SemigroupFamily, gens=None) -> tuple[bool, Optional[str]]
 # the aggregate report
 
 
-def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> Report:
+def full_report(
+    f: SemigroupFamily,
+    *,
+    box: Optional[EnumerationBox] = None,
+    include_toric: bool = True,
+    include_truncation: bool = True,
+    apery_cap: Optional[int] = None,
+) -> Report:
     """Run every applicable check on the family and collect the verdicts.
 
+    `box` is the truncation check's box (default_box(f) when None);
+    `include_toric` and `include_truncation` turn the elimination and
+    truncation oracles on; `apery_cap` caps the brute-force Apery search.
     Raises BoxTooLarge before any check runs when the truncation check would
     need a box of more than _BOX_CELL_BUDGET cells.
     """
-    opts = options or VerifyOptions()
-    box = opts.box or default_box(f)
+    box = box or default_box(f)
     stored = f.k in _STORED_K
     cells = (box.cap_x + 1) * (box.cap_y + 1)
-    if opts.include_truncation and cells > _BOX_CELL_BUDGET:
+    if include_truncation and cells > _BOX_CELL_BUDGET:
         raise BoxTooLarge(
             f"truncation box {box.cap_x + 1} x {box.cap_y + 1} has {cells} cells, "
             f"over the limit of {_BOX_CELL_BUDGET} cells"
         )
-    report = Report(family=f)
-    checks = report.checks
+    checks: list[CheckResult] = []
+
+    def judge(name: str, verdict) -> bool:
+        checks.append(_timed(name, verdict))
+        return checks[-1].passed
 
     # Apery: closed form against the brute-force definition.
-    @_check("apery_closed_vs_bruteforce")
     def apery_cmp():
         closed = _closed_form_apery(f).elements
-        brute = apery_bruteforce(f, cap=opts.apery_cap).elements
+        brute = apery_bruteforce(f, cap=apery_cap).elements
         if closed == brute:
             return True, None
         note = (
@@ -577,46 +577,37 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
         )
         return False, note
 
-    checks.append(apery_cmp())
+    judge("apery_closed_vs_bruteforce", apery_cmp)
 
-    @_check("cm_type_is_k_minus_1")
     def type_from_qf():
         qf = quasi_frobenius(f)
         ok = len(qf) == f.k - 1
         return ok, None if ok else f"|QF| = {len(qf)}"
 
-    checks.append(type_from_qf())
+    judge("cm_type_is_k_minus_1", type_from_qf)
 
-    cm = normal = None  # set by their checks, and read again for the flags
-
-    @_check("cohen_macaulay")
     def cohen_macaulay():
-        nonlocal cm
-        cm = is_cohen_macaulay(f)
-        return cm.holds, None if cm.holds else f"violating pair {cm.witness}"
+        claim = is_cohen_macaulay(f)
+        return claim.holds, None if claim.holds else f"violating pair {claim.witness}"
 
-    checks.append(cohen_macaulay())
+    cm = judge("cohen_macaulay", cohen_macaulay)
 
-    @_check("gorenstein_iff_k_is_2")
     def gorenstein():
         ok = (cm_type(f) == 1) == (f.k == 2)
         return ok, None if ok else f"type {cm_type(f)} with k = {f.k}"
 
-    checks.append(gorenstein())
+    judge("gorenstein_iff_k_is_2", gorenstein)
 
     if f.is_extended:
-        normal = is_normal(f)
+        normal = is_normal(f).holds
     else:
 
-        @_check("normality_of_base_family")
         def normality():
-            nonlocal normal
-            normal = is_normal(f)
-            return normal.holds, None if normal.holds else f"witness {normal.witness}"
+            claim = is_normal(f)
+            return claim.holds, None if claim.holds else f"witness {claim.witness}"
 
-        checks.append(normality())
+        normal = judge("normality_of_base_family", normality)
 
-    @_check("apery_elements_have_ray_degree_1")
     def degree_one():
         for i in range(1, f.k):
             _, deg = degree_in_rays(f, f.a + i * f.d)
@@ -624,7 +615,7 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
                 return False, f"deg(a + {i}d) = {deg}"
         return True, None
 
-    checks.append(degree_one())
+    judge("apery_elements_have_ray_degree_1", degree_one)
 
     # Defining ideal: Groebner claim and idempotence of completion.
     ring = family_ring(f)
@@ -632,7 +623,6 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
     gens = _ideal_generators(f, ring)
     base_gens = gens[:-1] if f.is_extended else gens
 
-    @_check("leading_terms_are_middle_products")
     def middle_leading_terms():
         # the order reading stands or falls with this: every leading term
         # must be the product of two middle variables
@@ -643,87 +633,53 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
                 return False, f"leading term of {g} is not a middle product"
         return True, None
 
-    checks.append(middle_leading_terms())
+    judge("leading_terms_are_middle_products", middle_leading_terms)
 
-    @_check("generating_set_is_groebner")
     def groebner_claim():
         claim = is_groebner_basis(base_gens, order)
         return claim.holds, None if claim.holds else f"failing pair {claim.witness}"
 
-    checks.append(groebner_claim())
+    judge("generating_set_is_groebner", groebner_claim)
 
-    @_check("buchberger_adds_nothing")
     def idempotent():
         out = buchberger(base_gens, order)
         same = {monic(g, order) for g in base_gens} == set(out.elements)
         return same, None if same else f"completion returned {len(out)} elements"
 
-    checks.append(idempotent())
+    judge("buchberger_adds_nothing", idempotent)
 
     full_gb = buchberger(gens, order)
 
-    if opts.include_toric:
+    if include_toric:
 
-        @_check("ideal_equals_toric_kernel")
         def toric_cmp():
             same = ideal_equal(toric_kernel(f), full_gb)
             return same, None if same else "elimination kernel differs from closed form"
 
-        checks.append(toric_cmp())
+        judge("ideal_equals_toric_kernel", toric_cmp)
 
     checks.append(gastinger_check(f))
 
     # Hilbert series and regularity: every k; resolution: k in _STORED_K.
-    if opts.include_truncation:
+    if include_truncation:
         checks.append(hilbert_truncation_check(f, hilbert_numerator(f), box))
-    if stored and not f.is_extended:
-        res = resolution(f)
-        checks.append(complex_check(res))
-
-        @_check("numerator_equals_shift_sum")
-        def numerator_matches_shifts():
-            acc: dict[Vec2, int] = {}
-            for i, layer in enumerate(res.shifts):
-                sign = 1 if i % 2 == 0 else -1
-                for mult, deg in layer:
-                    acc[deg] = acc.get(deg, 0) + sign * mult
-            acc = {deg: c for deg, c in acc.items() if c}
-            same = acc == hilbert_numerator(f).numerator_dict()
-            return same, None if same else "alternating shift sum != numerator"
-
-        checks.append(numerator_matches_shifts())
-
-    if not f.is_extended:
-
-        @_check("regularity_is_2")
-        def regularity_agreement():
-            by_route = {"apery": regularity(f)}
-            if stored:
-                by_route["resolution"] = regularity_from_resolution(f)
-            ok = set(by_route.values()) == {2}
-            return ok, None if ok else ", ".join(f"{r} {v}" for r, v in by_route.items())
-
-        checks.append(regularity_agreement())
-
-    if stored and f.is_extended:
-
-        @_check("extended_betti_match_mapping_cone")
-        def cone_betti():
-            base = resolution(SemigroupFamily(f.a, f.d, f.k, f.generators)).betti
-            cone = tuple(
-                (base[i] if i < len(base) else 0)
-                + (base[i - 1] if i >= 1 else 0)
-                for i in range(len(base) + 1)
-            )
-            stored_betti = extended_betti(f.k)
-            same = cone == stored_betti
-            return same, None if same else f"cone {cone} != stored {stored_betti}"
-
-        checks.append(cone_betti())
 
     if f.is_extended:
+        if stored:
 
-        @_check("gluing_consistency")
+            def cone_betti():
+                base = resolution(SemigroupFamily(f.a, f.d, f.k, f.generators)).betti
+                cone = tuple(
+                    (base[i] if i < len(base) else 0)
+                    + (base[i - 1] if i >= 1 else 0)
+                    for i in range(len(base) + 1)
+                )
+                stored_betti = extended_betti(f.k)
+                same = cone == stored_betti
+                return same, None if same else f"cone {cone} != stored {stored_betti}"
+
+            judge("extended_betti_match_mapping_cone", cone_betti)
+
         def gluing_consistency():
             data = gluing_data(f)
             if not vanishes_under_degree_map(data.extra_generator, family_grading(f)):
@@ -735,12 +691,37 @@ def full_report(f: SemigroupFamily, options: Optional[VerifyOptions] = None) -> 
                 return False, "chosen lambda touches neither extremal variable"
             return True, None
 
-        checks.append(gluing_consistency())
+        judge("gluing_consistency", gluing_consistency)
+    else:
+        if stored:
+            res = resolution(f)
+            checks.append(complex_check(res))
 
-    report.flags = {
-        "cohen_macaulay": cm.holds,
+            def numerator_matches_shifts():
+                acc: dict[Vec2, int] = {}
+                for i, layer in enumerate(res.shifts):
+                    sign = 1 if i % 2 == 0 else -1
+                    for mult, deg in layer:
+                        acc[deg] = acc.get(deg, 0) + sign * mult
+                acc = {deg: c for deg, c in acc.items() if c}
+                same = acc == hilbert_numerator(f).numerator_dict()
+                return same, None if same else "alternating shift sum != numerator"
+
+            judge("numerator_equals_shift_sum", numerator_matches_shifts)
+
+        def regularity_agreement():
+            by_route = {"apery": regularity(f)}
+            if stored:
+                by_route["resolution"] = regularity_from_resolution(f)
+            ok = set(by_route.values()) == {2}
+            return ok, None if ok else ", ".join(f"{r} {v}" for r, v in by_route.items())
+
+        judge("regularity_is_2", regularity_agreement)
+
+    flags = {
+        "cohen_macaulay": cm,
         "gorenstein": cm_type(f) == 1,
-        "normal": normal.holds,
+        "normal": normal,
         "koszul": True if is_quadratic(full_gb) else (None if f.is_extended else False),
     }
-    return report
+    return Report(f, checks, flags)

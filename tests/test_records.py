@@ -20,7 +20,6 @@ from apsemigroups import (
     SemigroupFamily,
     TruncatedSeries,
     Vec2,
-    VerifyOptions,
     Witnessed,
     build_family,
     generating_set,
@@ -75,13 +74,6 @@ RECORDS = [
     (TruncatedSeries, ("box", "packed", "w"), (BOX, [1, 2], 64), True, False),
     (CheckResult, ("name", "passed", "witness", "elapsed"), ("x", False, "w", 0.5), False, False),
     (Report, ("family", "checks", "flags"), (BASE, [], {"glued": False}), False, False),
-    (
-        VerifyOptions,
-        ("box", "include_toric", "include_truncation", "apery_cap"),
-        (BOX, False, False, 7),
-        True,
-        True,
-    ),
 ]
 
 
@@ -118,7 +110,6 @@ def test_defaults():
     f = SemigroupFamily(BASE.a, BASE.d, 2, BASE.generators)
     assert (f.extension, f.extension_mu, f.extension_lambda) == (None, None, None)
     assert f == BASE
-    assert VerifyOptions() == VerifyOptions(None, True, True, None)
     assert Witnessed(True) == Witnessed(True, None)
     assert MonomialOrder(3) == MonomialOrder(3, 0) == grevlex(3)
     assert CheckResult("x", True) == CheckResult("x", True, None, 0.0)
@@ -133,9 +124,6 @@ def test_exact_reprs():
         "CheckResult(name='x', passed=True, witness=None, elapsed=0.0)"
     )
     assert repr(EnumerationBox(3, 4)) == "EnumerationBox(cap_x=3, cap_y=4)"
-    assert repr(VerifyOptions()) == (
-        "VerifyOptions(box=None, include_toric=True, include_truncation=True, apery_cap=None)"
-    )
     assert repr(Witnessed(True)) == "Witnessed(holds=True, witness=None)"
     assert repr(TruncatedSeries.from_rows(BOX, [[1, 2], [3, 4]])) == (
         "TruncatedSeries(box=EnumerationBox(cap_x=1, cap_y=1), "

@@ -1,5 +1,7 @@
+import cProfile
 import itertools
 import math
+import pstats
 import re
 import time
 import tracemalloc
@@ -27,7 +29,6 @@ from apsemigroups import (
     hilbert_truncation_check,
     member_certificate,
     resolution,
-    VerifyOptions,
 )
 from apsemigroups import verify
 from apsemigroups.verify import poly_matrix_det, _named_minors
@@ -411,6 +412,19 @@ class TestTruncatedSeries:
         assert packed.w == series.w == 64
         assert packed.packed == series.packed
 
+    @pytest.mark.parametrize(
+        "box, rows, shape",
+        [
+            # long rows would lose their last coefficients
+            (EnumerationBox(1, 1), [[1, 2, 3], [4, 5, 6]], "2 x [3] do not fill a 2 x 2 box"),
+            # too few rows would break a lookup inside the box
+            (EnumerationBox(2, 1), [[1, 2]], "1 x [2] do not fill a 3 x 2 box"),
+        ],
+    )
+    def test_from_rows_refuses_rows_that_do_not_fill_the_box(self, box, rows, shape):
+        with pytest.raises(ValueError, match=re.escape(f"rows of shape {shape}")):
+            verify.TruncatedSeries.from_rows(box, rows)
+
     def test_equality_is_by_coefficient(self):
         # the bound counts 2^63 + 2^63 + 1, so expand_series packs the one
         # nonzero coefficient into 128-bit fields
@@ -732,9 +746,7 @@ class TestFullReport:
         assert report.flags["gorenstein"] is True
 
     def test_options_can_skip_heavy_checks(self, example_one):
-        report = full_report(
-            example_one, VerifyOptions(include_toric=False, include_truncation=False)
-        )
+        report = full_report(example_one, include_toric=False, include_truncation=False)
         names = {c.name for c in report.checks}
         assert "ideal_equals_toric_kernel" not in names
         assert "hilbert_truncation" not in names
@@ -750,10 +762,27 @@ class TestFullReport:
         ]:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(verify, oracle, slowed(getattr(verify, oracle)))
-                report = full_report(example_one, VerifyOptions(include_toric=False))
+                report = full_report(example_one, include_toric=False)
             (check,) = [c for c in report.checks if c.name == name]
             assert (check.passed, check.witness) == (True, None), oracle
             assert check.elapsed >= 0.05, oracle
+
+    def test_each_public_check_is_its_own_function(self, example_one):
+        # a profiler keys calls by code object: a check that shared one
+        # wrapper's code with the others would be credited with their calls
+        prof = cProfile.Profile()
+        report = prof.runcall(full_report, example_one, include_toric=False)
+        ncalls = {key: row[1] for key, row in pstats.Stats(prof).stats.items()}
+        names = [c.name for c in report.checks]
+        for fn, name in [
+            (hilbert_truncation_check, "hilbert_truncation"),
+            (complex_check, "complex_check"),
+            (gastinger_check, "gastinger"),
+        ]:
+            code = fn.__code__
+            assert code.co_name == fn.__name__
+            key = (code.co_filename, code.co_firstlineno, code.co_name)
+            assert ncalls.get(key, 0) == names.count(name) == 1, name
 
     def test_random_extended_families(self, rng):
         from conftest import random_extended_family
@@ -810,7 +839,8 @@ class TestReportShape:
     def test_ordered_check_names(self, params, toric, truncation):
         report = full_report(
             build_family(*params),
-            VerifyOptions(include_toric=toric, include_truncation=truncation),
+            include_toric=toric,
+            include_truncation=truncation,
         )
         dropped = {
             "ideal_equals_toric_kernel": not toric,
@@ -826,7 +856,8 @@ class TestReportShape:
         monkeypatch.setattr(verify, "regularity", lambda f: 3)
         report = full_report(
             build_family(Vec2(5, 4), Vec2(4, 9), k),
-            VerifyOptions(include_toric=False, include_truncation=False),
+            include_toric=False,
+            include_truncation=False,
         )
         (check,) = [c for c in report.checks if c.name == "regularity_is_2"]
         assert (check.passed, check.witness) == (False, witness)
@@ -845,24 +876,24 @@ class TestBoxBudget:
         monkeypatch.setattr(verify, "_BOX_CELL_BUDGET", 100)
         # the first check calls it, so the report fails if any check runs
         monkeypatch.setattr(verify, "apery_bruteforce", None)
-        opts = VerifyOptions(box=EnumerationBox(10, 9), include_toric=False)
         message = "11 x 10 has 110 cells, over the limit of 100 cells"
         with pytest.raises(BoxTooLarge, match=message):
-            full_report(example_one, opts)
+            full_report(example_one, box=EnumerationBox(10, 9), include_toric=False)
 
     def test_budget_edge_is_inclusive(self, example_one, monkeypatch):
         monkeypatch.setattr(verify, "_BOX_CELL_BUDGET", 100)
-        opts = VerifyOptions(box=EnumerationBox(9, 9), include_toric=False)
-        assert full_report(example_one, opts).ok
+        assert full_report(example_one, box=EnumerationBox(9, 9), include_toric=False).ok
 
     def test_no_budget_without_the_truncation_check(self, example_one, no_box_oracles):
         huge = EnumerationBox(1 << 20, 1 << 20)
-        opts = VerifyOptions(box=huge, include_toric=False, include_truncation=False)
-        assert full_report(example_one, opts).ok
+        report = full_report(
+            example_one, box=huge, include_toric=False, include_truncation=False
+        )
+        assert report.ok
         # with the check, the budget holds at every k, stored resolution or not
         k5 = build_family(Vec2(5, 4), Vec2(4, 9), 5)
         with pytest.raises(BoxTooLarge, match="over the limit"):
-            full_report(k5, VerifyOptions(box=huge, include_toric=False))
+            full_report(k5, box=huge, include_toric=False)
 
     def test_cli_exits_2_on_a_default_box_over_budget(self, capsys, no_box_oracles):
         from apsemigroups.cli import main
