@@ -13,6 +13,7 @@ import pytest
 from apsemigroups import (
     BoxTooLarge,
     EnumerationBox,
+    FamilyError,
     GradedResolution,
     HilbertSeriesForm,
     PolynomialRing,
@@ -124,7 +125,81 @@ HIGH_K = [
 ]
 
 
+def reference_enumeration(f, box):
+    """The points of S in the box, x-major and y-minor, cell by cell: (x, y)
+    is in S iff it is the origin or some generator steps back from it to a
+    point of S (an earlier cell, as generators are nonzero points of N^2)."""
+    points, found = [], set()
+    for x in range(box.cap_x + 1):
+        for y in range(box.cap_y + 1):
+            if (x, y) == (0, 0) or any((x - g.x, y - g.y) in found for g in f.all_generators):
+                points.append(Vec2(x, y))
+                found.add((x, y))
+    return points
+
+
+def _enumeration_cases(hypothesis):
+    """(family, box): base families with a, d in [0, 4]^2 (so a = (0, c)
+    puts a generator on the y-axis), about half of them glued with the first
+    b in [0, 8]^2 at or after a drawn start that extends them, in boxes whose
+    caps run from 1 to past the largest generator coordinate."""
+    st = hypothesis.strategies
+    grid = [Vec2(x, y) for x in range(9) for y in range(9) if x or y]
+
+    def family(a, d, k, b=None):
+        try:
+            return build_family(a, d, k, b, mu_bound=6)
+        except FamilyError:
+            return None
+
+    @st.composite
+    def case(draw):
+        point = st.builds(Vec2, st.integers(0, 4), st.integers(0, 4))
+        a, d = draw(point), draw(point)
+        k = draw(st.integers(2, 4))
+        f = family(a, d, k)
+        hypothesis.assume(f is not None)
+        if draw(st.booleans()):
+            start = draw(st.integers(0, len(grid) - 1))
+            glued = (family(a, d, k, b) for b in grid[start:] + grid[:start])
+            f = next((g for g in glued if g is not None), f)
+        top = max(max(g) for g in f.all_generators)
+        cap = st.integers(1, top + 3)
+        return f, EnumerationBox(draw(cap), draw(cap))
+
+    return case()
+
+
 class TestEnumeration:
+    def test_matches_cell_by_cell_reference(self, hypothesis):
+        @property_settings(hypothesis)
+        @hypothesis.given(_enumeration_cases(hypothesis))
+        def check(case):
+            f, box = case
+            assert enumerate_semigroup(f, box) == reference_enumeration(f, box)
+
+        check()
+
+    def test_reference_cases_cover_the_edges(self, hypothesis):
+        # the drawn cases include glued families, generators on the y-axis
+        # (the vertical-closure path) and boxes narrower than a generator
+        seen = set()
+
+        @property_settings(hypothesis)
+        @hypothesis.given(_enumeration_cases(hypothesis))
+        def collect(case):
+            f, box = case
+            gens = f.all_generators
+            if f.is_extended:
+                seen.add("glued")
+            if any(g.x == 0 for g in gens):
+                seen.add("y-axis")
+            if any(g.x > box.cap_x or g.y > box.cap_y for g in gens):
+                seen.add("narrow")
+
+        collect()
+        assert seen == {"glued", "y-axis", "narrow"}
+
     def test_tiny_box_only_origin(self, example_one):
         assert enumerate_semigroup(example_one, EnumerationBox(1, 1)) == [Vec2(0, 0)]
 
