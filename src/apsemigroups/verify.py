@@ -77,9 +77,10 @@ class EnumerationBox(FrozenRecord):
 
 
 # Ceiling on (cap_x + 1) * (cap_y + 1) for the truncation check. Its series
-# oracle holds the whole box packed, w bits per cell (w = 64 unless the
-# coefficients need more), and the check compares those packed rows as they
-# are; only a caller that asks for the series' coefficients decodes them.
+# oracle holds the whole box packed, w bits per cell (w the fewest whole bytes
+# whose signed fields hold the coefficient bound), and the check compares
+# those packed rows as they are; only a caller that asks for the series'
+# coefficients decodes them.
 _BOX_CELL_BUDGET = 1 << 24
 
 
@@ -93,8 +94,10 @@ def default_box(f: SemigroupFamily) -> EnumerationBox:
 
 
 def _field_width(bound: int) -> int:
-    """The least multiple of 64 whose signed fields hold every |c| <= bound."""
-    return (bound.bit_length() + 64) // 64 * 64
+    """The least multiple of 8 bits whose signed fields hold every |c| <=
+    bound: |c| < 2^(w - 1), so w is at least one bit past bound's length,
+    rounded up to whole bytes for the row decoder."""
+    return (bound.bit_length() + 8) // 8 * 8
 
 
 def _decode_row(packed: int, w: int, width: int) -> list[int]:
@@ -122,10 +125,10 @@ class TruncatedSeries(FrozenRecord):
     `packed[x]` encodes row x as the row polynomial sum_y c_y * Y^y, cut at
     Y^cap_y, evaluated at Y = 2^w and kept mod 2^(w * (cap_y + 1)): the
     coefficient of t^(x, y) is the w-bit field at bit w*y of packed[x] plus
-    2^(w - 1) in every field, read unsigned, less 2^(w - 1). w holds every
-    |c| < 2^(w - 1), so the encoding is injective: at one w, two rows hold
-    the same coefficients iff their packed ints are equal, and an all-zero
-    row is 0.
+    2^(w - 1) in every field, read unsigned, less 2^(w - 1). w is a multiple
+    of 8, so every field is whole bytes, and every |c| < 2^(w - 1), so the
+    encoding is injective: at one w, two rows hold the same coefficients iff
+    their packed ints are equal, and an all-zero row is 0.
     `rows`, `coefficients` and `coefficient` decode on demand. Two series
     are equal when their boxes and coefficients are, whatever their w.
     """
@@ -235,12 +238,11 @@ def _semigroup_rows(f: SemigroupFamily, box: EnumerationBox) -> list[int]:
     gens = f.all_generators
     steps = [g for g in gens if 0 < g.x <= nx and g.y <= ny]
     vertical = [g.y for g in gens if g.x == 0 and 0 < g.y <= ny]
-    rows: list[int] = []
-    for x in range(nx + 1):
-        row = 1 if x == 0 else 0
-        for gx, gy in steps:
-            if gx <= x:
-                row |= rows[x - gx] << gy
+    rows = [0] * (nx + 1)
+    rows[0] = 1
+    for x, row in enumerate(rows):
+        if not row:
+            continue
         row &= mask
         for gy in vertical:
             # close the row under +gy: after the pass with shift s, it holds
@@ -249,25 +251,32 @@ def _semigroup_rows(f: SemigroupFamily, box: EnumerationBox) -> list[int]:
             while shift <= ny:
                 row |= (row << shift) & mask
                 shift <<= 1
-        rows.append(row)
+        rows[x] = row
+        for gx, gy in steps:
+            if x + gx <= nx:
+                rows[x + gx] |= row << gy
     return rows
 
 
 def enumerate_semigroup(f: SemigroupFamily, box: EnumerationBox) -> list[Vec2]:
     """Every semigroup point inside the box, in x-major, y-minor order.
 
-    Row by row, each row one Python int used as a bitset over y: row x is
-    the origin (x = 0) or the union of rows x - g.x shifted up by g.y over
-    the generators g, cut to the box, then closed under the generators on
-    the y-axis. A point is reachable iff some generator steps back from it
-    to a reachable point, exactly as in the cell-by-cell definition. Only
-    the set bits of each row are visited, lowest first.
+    Row by row, x rising, each row one Python int used as a bitset over y:
+    row x is the origin (x = 0) or the union of rows x - g.x shifted up by
+    g.y over the generators g, cut to the box, then closed under the
+    generators on the y-axis. The union is built in push form: once row x
+    is final, it ORs itself, shifted by g.y, into row x + g.x for each g
+    that stays in the box, so an empty row costs one test. A point is
+    reachable iff some generator steps back from it to a reachable point,
+    exactly as in the cell-by-cell definition. Only the set bits of each
+    row are visited, lowest first.
     """
     points = []
     for x, row in enumerate(_semigroup_rows(f, box)):
         while row:
             low = row & -row
-            points.append(Vec2(x, low.bit_length() - 1))
+            # the same Vec2, without the named tuple's Python-level __new__
+            points.append(tuple.__new__(Vec2, (x, low.bit_length() - 1)))
             row ^= low
     return points
 
@@ -299,9 +308,11 @@ def expand_series(form: HilbertSeriesForm, box: EnumerationBox) -> TruncatedSeri
     Y^cap_y, evaluated at Y = 2^w: a ring map, so sums and shifts of rows
     act on the fields as on the coefficients they encode, carries and
     borrows included, and the fields decode exactly once w holds every
-    final coefficient with its sign. w is the least multiple of 64 whose
-    signed fields hold +-_coefficient_bound; intermediate coefficients may
-    wrap, as only the final ones are read.
+    final coefficient with its sign. w is the least multiple of 8 whose
+    signed fields hold +-_coefficient_bound (`_field_width`, shared with
+    `TruncatedSeries.from_rows`), so a row of small coefficients is a few
+    bytes per cell; intermediate coefficients may wrap, as only the final
+    ones are read.
 
     Each denominator factor is a geometric-series pass,
     coefficient(v) += coefficient(v - g): with g.x > 0 it adds row x - g.x,

@@ -71,7 +71,7 @@ RECORDS = [
         True,
     ),
     (EnumerationBox, ("cap_x", "cap_y"), (3, 4), True, True),
-    (TruncatedSeries, ("box", "packed", "w"), (BOX, [1, 2], 64), True, False),
+    (TruncatedSeries, ("box", "packed", "w"), (BOX, [1, 2], 8), True, False),
     (CheckResult, ("name", "passed", "witness", "elapsed"), ("x", False, "w", 0.5), False, False),
     (Report, ("family", "checks", "flags"), (BASE, [], {"glued": False}), False, False),
 ]
@@ -127,7 +127,7 @@ def test_exact_reprs():
     assert repr(Witnessed(True)) == "Witnessed(holds=True, witness=None)"
     assert repr(TruncatedSeries.from_rows(BOX, [[1, 2], [3, 4]])) == (
         "TruncatedSeries(box=EnumerationBox(cap_x=1, cap_y=1), "
-        "packed=[36893488147419103233, 73786976294838206467], w=64)"
+        "packed=[513, 1027], w=8)"
     )
     assert repr(generating_set(2)) == (
         "GeneratorFamily(k=2, xi={2: (<x2^2 - x1*x3>,)}, G=(<x2^2 - x1*x3>,))"
@@ -152,7 +152,7 @@ def test_enumeration_box_rejects_non_positive_caps(caps):
 
 def test_truncated_series_equality_ignores_field_width():
     narrow = TruncatedSeries.from_rows(BOX, [[1, -2], [3, 4]])
-    assert narrow.w == 64
+    assert narrow.w == 8
     full = (1 << (128 * 2)) - 1
     wide = TruncatedSeries(
         BOX, [sum(c << (128 * y) for y, c in enumerate(row)) & full for row in narrow.rows], 128

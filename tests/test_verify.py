@@ -172,23 +172,16 @@ def _enumeration_cases(hypothesis):
 
 class TestEnumeration:
     def test_matches_cell_by_cell_reference(self, hypothesis):
+        # the drawn cases must include glued families, generators on the
+        # y-axis (the vertical-closure path) and boxes narrower than a
+        # generator
+        seen = set()
+
         @property_settings(hypothesis)
         @hypothesis.given(_enumeration_cases(hypothesis))
         def check(case):
             f, box = case
             assert enumerate_semigroup(f, box) == reference_enumeration(f, box)
-
-        check()
-
-    def test_reference_cases_cover_the_edges(self, hypothesis):
-        # the drawn cases include glued families, generators on the y-axis
-        # (the vertical-closure path) and boxes narrower than a generator
-        seen = set()
-
-        @property_settings(hypothesis)
-        @hypothesis.given(_enumeration_cases(hypothesis))
-        def collect(case):
-            f, box = case
             gens = f.all_generators
             if f.is_extended:
                 seen.add("glued")
@@ -197,7 +190,7 @@ class TestEnumeration:
             if any(g.x > box.cap_x or g.y > box.cap_y for g in gens):
                 seen.add("narrow")
 
-        collect()
+        check()
         assert seen == {"glued", "y-axis", "narrow"}
 
     def test_tiny_box_only_origin(self, example_one):
@@ -338,9 +331,12 @@ class TestSeriesExpansion:
             assert sum(series.coefficients.values()) == len(points)
 
 
-# Numerator coefficients around the 64- and 128-bit field edges: a field one
-# bit too narrow misreads them.
-LARGE_COEFFICIENTS = (2**62, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**127, 2**128)
+# Numerator coefficients around the byte edges (8, 16 and 24 bits) and the
+# 64- and 128-bit field edges: a field one bit too narrow misreads them.
+LARGE_COEFFICIENTS = (
+    *(127, 128, 2**15 - 1, 2**15, 2**23),
+    *(2**62, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**127, 2**128),
+)
 
 
 def _series_cases(st):
@@ -430,15 +426,23 @@ class TestPackedRows:
 
 # Rows for the TruncatedSeries round trip, with the field width that packs
 # them: negative entries, a negative field under a positive one, all-zero
-# rows, and entries at the 64- and 128-bit field edges.
+# rows, and entries at the byte edges and the 64- and 128-bit edges: |c| up
+# to 2^(w - 1) - 1 fits a w-bit field, and one more takes the next byte.
 ROUND_TRIP_ROWS = [
-    ([[1, -1, 0], [0, 0, 0], [-3, 5, -1]], 64),
-    ([[-1, 1, 2], [5, -7, 7], [-1, -1, 1]], 64),
-    ([[0, 0], [0, 0]], 64),
+    ([[1, -1, 0], [0, 0, 0], [-3, 5, -1]], 8),
+    ([[-1, 1, 2], [5, -7, 7], [-1, -1, 1]], 8),
+    ([[0, 0], [0, 0]], 8),
     ([[2**63 - 1, -(2**63 - 1)], [0, 1]], 64),
     ([[2**63, -1, 1], [0, 0, 0], [-(2**64), 2**64, -(2**127 - 1)]], 128),
-    ([[-(2**63), 2**63], [0, 0]], 128),
-    ([[2**127, -1], [-(2**127), 1]], 192),
+    ([[-(2**63), 2**63], [0, 0]], 72),
+    ([[2**127, -1], [-(2**127), 1]], 136),
+    ([[127, -127], [-1, 1]], 8),
+    ([[128, -1], [0, 0]], 16),
+    ([[0, 1], [-128, 0]], 16),
+    ([[2**15 - 1, -(2**15 - 1)], [0, 0]], 16),
+    ([[2**15, -1], [0, 0]], 24),
+    ([[0, 0], [1, -(2**15)]], 24),
+    ([[2**23, 0], [-1, 0]], 32),
 ]
 
 
@@ -478,14 +482,18 @@ class TestTruncatedSeries:
         check()
 
     def test_expansion_matches_from_rows(self, example_one):
-        # expand_series may pick a wider field than the rows need, but it
-        # encodes the same coefficients
+        # expand_series may pick a wider field than the rows need (its bound
+        # here is 8190, the largest coefficient 1), but it encodes the same
+        # coefficients: packed at its width, the rows give its ints
         form = hilbert_numerator(example_one)
         box = EnumerationBox(60, 90)
         series = expand_series(form, box)
         packed = verify.TruncatedSeries.from_rows(box, series.rows)
-        assert packed.w == series.w == 64
-        assert packed.packed == series.packed
+        assert (packed.w, series.w) == (8, 16)
+        assert packed == series
+        full = (1 << (16 * (box.cap_y + 1))) - 1
+        at_16 = [sum(c << (16 * y) for y, c in enumerate(row)) & full for row in packed.rows]
+        assert at_16 == series.packed
 
     @pytest.mark.parametrize(
         "box, rows, shape",
@@ -502,7 +510,7 @@ class TestTruncatedSeries:
 
     def test_equality_is_by_coefficient(self):
         # the bound counts 2^63 + 2^63 + 1, so expand_series packs the one
-        # nonzero coefficient into 128-bit fields
+        # nonzero coefficient into 72-bit fields, from_rows into 8-bit ones
         form = HilbertSeriesForm(
             numerator=((2**63, Vec2(0, 0)), (-(2**63), Vec2(0, 0)), (1, Vec2(0, 0))),
             denominator_factors=(),
@@ -510,7 +518,7 @@ class TestTruncatedSeries:
         box = EnumerationBox(2, 3)
         series = expand_series(form, box)
         rows = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        assert series.w == 128
+        assert series.w == 72
         assert series == verify.TruncatedSeries.from_rows(box, rows)
         rows[2][3] = -1
         assert series != verify.TruncatedSeries.from_rows(box, rows)
@@ -519,7 +527,7 @@ class TestTruncatedSeries:
 
 def _witness_grid(f, box):
     """Broken numerators of f's Hilbert form: +-1 on each numerator term in
-    the box, and +-1 and +-2^64 (a 128-bit field) on a numerator term, on a
+    the box, and +-1 and +-2^64 (a field past 64 bits) on a numerator term, on a
     semigroup point (a 2 there), on the top cell of row 0, on a cell of the
     last row and on the last cell. A -1 off the semigroup is a negative field."""
     form = hilbert_numerator(f)
