@@ -141,8 +141,9 @@ def reference_enumeration(f, box):
 def _enumeration_cases(hypothesis):
     """(family, box): base families with a, d in [0, 4]^2 (so a = (0, c)
     puts a generator on the y-axis), about half of them glued with the first
-    b in [0, 8]^2 at or after a drawn start that extends them, in boxes whose
-    caps run from 1 to past the largest generator coordinate."""
+    b in [0, 8]^2 at or after a drawn start that extends them, when one
+    does, in boxes whose caps run from 1 to past the largest generator
+    coordinate."""
     st = hypothesis.strategies
     grid = [Vec2(x, y) for x in range(9) for y in range(9) if x or y]
 
